@@ -7,13 +7,15 @@
 // Compress (the fine-grained Thumb-conversion heuristic of [78]).
 //
 // All passes operate on clones of the input program, never mutate it, and
-// use prog.ReorderLegal as the hoisting legality oracle (register, CC and
-// memory dependences). Transformed programs re-run Layout and Validate; the
-// paper's pass similarly leaves scheduling untouched beyond hoisting.
+// check hoisting against prog.Deps, the legality oracle behind
+// prog.ReorderLegal (register, CC and memory dependences). Transformed
+// programs re-run Layout and Validate; the paper's pass similarly leaves
+// scheduling untouched beyond hoisting.
 package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"critics/internal/core"
@@ -77,9 +79,12 @@ func (s Stats) String() string {
 // ApplyCritIC runs the CritIC instrumentation pass: for every selected chain
 // in the profile it (1) hoists the members contiguous at the first member's
 // position — displaced non-members retain their relative order after the
-// chain — when prog.ReorderLegal allows it, and (2) converts the members to
-// the 16-bit format behind the configured switch when every member passes
-// the all-or-nothing representability test (or unconditionally under Ideal).
+// chain — when the block's dependence relation (prog.Deps, built once per
+// block and shared by its chains and prefix retries) allows it, and (2)
+// converts the members to the 16-bit format behind the configured switch
+// when every member passes the all-or-nothing representability test (or
+// unconditionally under Ideal). Chains that name a function or block the
+// program does not have (a stale profile) count as illegal.
 //
 // The returned program is laid out and validated; the input is untouched.
 func ApplyCritIC(p *prog.Program, prof *core.Profile, opt Options) (*prog.Program, Stats, error) {
@@ -113,32 +118,56 @@ func ApplyCritIC(p *prog.Program, prof *core.Profile, opt Options) (*prog.Progra
 	})
 
 	chainID := 0
+	// Per-block state, reused across blocks: the dependence relation over
+	// original indices, cur[orig] = current position, at[pos] = original
+	// index, the candidate hoist permutation (over current positions) and
+	// the same order in original indices, and the hoisted chains' members
+	// (original indices).
+	var (
+		deps        prog.Deps
+		cur, at     []int
+		perm, order []int
+		hoisted     [][]int
+	)
 	for _, k := range keys {
-		b := q.Funcs[k.fn].Blocks[k.blk]
 		blockChains := chains[k]
+		if k.fn >= len(q.Funcs) || k.blk >= len(q.Funcs[k.fn].Blocks) {
+			// Stale profile: the block does not exist in this program.
+			st.ChainsAttempted += len(blockChains)
+			st.ChainsIllegal += len(blockChains)
+			continue
+		}
+		b := q.Funcs[k.fn].Blocks[k.blk]
+		n := len(b.Instrs)
 		// Ascending by first member.
 		sort.Slice(blockChains, func(i, j int) bool { return blockChains[i][0] < blockChains[j][0] })
 
-		// cur[orig] = current index of the instruction originally at orig.
-		cur := make([]int, len(b.Instrs))
-		for i := range cur {
-			cur[i] = i
+		deps.Reset(b)
+		cur, at = cur[:0], at[:0]
+		for i := 0; i < n; i++ {
+			cur = append(cur, i)
+			at = append(at, i)
 		}
-		var hoisted [][]int // current positions of each hoisted chain (contiguous)
+		hoisted = hoisted[:0]
 		for _, members := range blockChains {
 			st.ChainsAttempted++
 			// When the full chain cannot be hoisted legally, retry with
 			// progressively shorter prefixes — a profiled chain whose
 			// tail picked up an unmovable instruction still has a
 			// hoistable core.
-			var perm []int
 			legal := false
 			for len(members) >= 2 {
-				p, ok := hoistPerm(len(b.Instrs), members, cur)
-				if ok && prog.ReorderLegal(b, p) {
-					perm = p
-					legal = true
-					break
+				var ok bool
+				perm, ok = hoistPerm(perm[:0], n, members, cur)
+				if ok {
+					order = order[:0]
+					for _, c := range perm {
+						order = append(order, at[c])
+					}
+					if deps.Legal(order) {
+						legal = true
+						break
+					}
 				}
 				members = members[:len(members)-1]
 			}
@@ -147,27 +176,16 @@ func ApplyCritIC(p *prog.Program, prof *core.Profile, opt Options) (*prog.Progra
 				continue
 			}
 			prog.ApplyReorder(b, perm)
-			// Update cur: newPos[oldCur] then compose.
-			newPos := make([]int, len(perm))
-			for np, o := range perm {
-				newPos[o] = np
-			}
-			for orig := range cur {
-				cur[orig] = newPos[cur[orig]]
-			}
-			for hi := range hoisted {
-				for j := range hoisted[hi] {
-					hoisted[hi][j] = newPos[hoisted[hi][j]]
-				}
+			at, order = order, at
+			for np, o := range at {
+				cur[o] = np
 			}
 			st.ChainsHoisted++
 			chainID++
-			pos := make([]int, len(members))
-			for j, m := range members {
-				pos[j] = cur[m]
+			for _, m := range members {
 				b.Instrs[cur[m]].ChainID = chainID
 			}
-			hoisted = append(hoisted, pos)
+			hoisted = append(hoisted, members)
 		}
 
 		if opt.HoistOnly {
@@ -175,13 +193,13 @@ func ApplyCritIC(p *prog.Program, prof *core.Profile, opt Options) (*prog.Progra
 		}
 		// Convert hoisted chains, descending by position so insertions do
 		// not shift earlier chains.
-		sort.Slice(hoisted, func(i, j int) bool { return hoisted[i][0] > hoisted[j][0] })
-		for _, pos := range hoisted {
-			start, k := pos[0], len(pos)
+		sort.Slice(hoisted, func(i, j int) bool { return cur[hoisted[i][0]] > cur[hoisted[j][0]] })
+		for _, members := range hoisted {
+			start, k := cur[members[0]], len(members)
 			ok := true
 			if !opt.Ideal {
-				for _, pi := range pos {
-					if !encoding.Representable(b.Instrs[pi].Inst) {
+				for _, m := range members {
+					if !encoding.Representable(b.Instrs[cur[m]].Inst) {
 						ok = false
 						break
 					}
@@ -191,8 +209,8 @@ func ApplyCritIC(p *prog.Program, prof *core.Profile, opt Options) (*prog.Progra
 				st.ChainsNotThumb++
 				continue
 			}
-			for _, pi := range pos {
-				b.Instrs[pi].Thumb = true
+			for _, m := range members {
+				b.Instrs[cur[m]].Thumb = true
 			}
 			st.ChainsConverted++
 			st.ConvertedInstrs += k
@@ -211,35 +229,36 @@ func ApplyCritIC(p *prog.Program, prof *core.Profile, opt Options) (*prog.Progra
 	return q, st, nil
 }
 
-// hoistPerm builds the permutation placing the chain's members (original
-// indices, via cur mapping) contiguously at the first member's position,
-// with displaced non-members following in original order. Returns ok=false
-// if the members are not strictly ordered (stale profile).
-func hoistPerm(n int, members []int, cur []int) ([]int, bool) {
-	pos := make([]int, len(members))
+// hoistPerm appends to perm the permutation placing the chain's members
+// (original indices, via cur mapping) contiguously at the first member's
+// position, with displaced non-members following in original order.
+// Returns ok=false if a member is out of range or the members are not
+// strictly ordered (stale profile).
+func hoistPerm(perm []int, n int, members []int, cur []int) ([]int, bool) {
 	for i, m := range members {
 		if m < 0 || m >= n {
-			return nil, false
+			return perm, false
 		}
-		pos[i] = cur[m]
-		if i > 0 && pos[i] <= pos[i-1] {
-			return nil, false
+		if i > 0 && cur[m] <= cur[members[i-1]] {
+			return perm, false
 		}
 	}
-	first, last := pos[0], pos[len(pos)-1]
-	isMember := make(map[int]bool, len(pos))
-	for _, p := range pos {
-		isMember[p] = true
-	}
-	perm := make([]int, 0, n)
+	first, last := cur[members[0]], cur[members[len(members)-1]]
 	for i := 0; i < first; i++ {
 		perm = append(perm, i)
 	}
-	perm = append(perm, pos...)
+	for _, m := range members {
+		perm = append(perm, cur[m])
+	}
+	// Members' positions ascend, so one cursor tells them apart from the
+	// displaced non-members.
+	next := 0
 	for i := first; i <= last; i++ {
-		if !isMember[i] {
-			perm = append(perm, i)
+		if next < len(members) && cur[members[next]] == i {
+			next++
+			continue
 		}
+		perm = append(perm, i)
 	}
 	for i := last + 1; i < n; i++ {
 		perm = append(perm, i)
@@ -267,7 +286,7 @@ func insertCDPs(b *prog.Block, start, k int, st *Stats) {
 			Thumb:    true,
 			CDPCount: segs[i].count,
 		}
-		b.Instrs = append(b.Instrs[:segs[i].at], append([]prog.Instr{cdp}, b.Instrs[segs[i].at:]...)...)
+		b.Instrs = slices.Insert(b.Instrs, segs[i].at, cdp)
 		st.CDPsInserted++
 	}
 }
@@ -286,9 +305,8 @@ func insertBranchPair(b *prog.Block, start, k int, st *Stats) {
 		ModeSwitch: true,
 		Thumb:      true,
 	}
-	rest := append([]prog.Instr{post}, b.Instrs[start+k:]...)
-	b.Instrs = append(b.Instrs[:start+k:start+k], rest...)
-	b.Instrs = append(b.Instrs[:start], append([]prog.Instr{pre}, b.Instrs[start:]...)...)
+	b.Instrs = slices.Insert(b.Instrs, start+k, post)
+	b.Instrs = slices.Insert(b.Instrs, start, pre)
 	st.BranchesInserted += 2
 }
 

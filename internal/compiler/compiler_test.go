@@ -392,3 +392,46 @@ func TestPrefixRetrySalvagesChains(t *testing.T) {
 		t.Errorf("CDP covers %d, want the 2-member legal prefix", cdpCount)
 	}
 }
+
+// TestStaleProfileChainsIllegal feeds the pass a profile whose selected
+// chains name a function or block the program does not have (a profile of
+// a different build): such chains count as illegal and are skipped, and a
+// valid chain alongside them is still hoisted.
+func TestStaleProfileChainsIllegal(t *testing.T) {
+	b := &prog.Block{ID: 0, End: prog.EndReturn, Instrs: []prog.Instr{
+		{Inst: isa.Inst{Op: isa.OpADD, Rd: isa.R0, Rn: isa.R4, Rm: isa.R5}},
+		{Inst: isa.Inst{Op: isa.OpADD, Rd: isa.R6, Rn: isa.R4, Rm: isa.R5}},
+		{Inst: isa.Inst{Op: isa.OpADD, Rd: isa.R1, Rn: isa.R0, Rm: isa.R4}},
+		{Inst: isa.Inst{Op: isa.OpBX, Rd: isa.NoReg, Rn: isa.LR, Rm: isa.NoReg}},
+	}}
+	p := &prog.Program{
+		Name: "stale", Entry: 0, NumMemRegions: 1, RegionBytes: []uint32{64},
+		Funcs: []*prog.Func{{ID: 0, Name: "f", Blocks: []*prog.Block{b}}},
+	}
+	p.AssignUIDs()
+	p.Layout()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	entry := func(fn, blk uint16) core.Entry {
+		e := core.Entry{Key: core.ChainKey{Func: fn, Block: blk, N: 2}, Length: 2, DynCount: 100, Selected: true, ThumbOK: true}
+		e.Key.Idx[0], e.Key.Idx[1] = 0, 2
+		return e
+	}
+	for _, tc := range []struct {
+		name    string
+		fn, blk uint16
+	}{{"func", 99, 0}, {"block", 0, 99}} {
+		prof := &core.Profile{App: "stale", TotalDyn: 1000, Entries: []core.Entry{entry(tc.fn, tc.blk), entry(0, 0)}}
+		q, st, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchCDP})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.ChainsAttempted != 2 || st.ChainsIllegal != 1 || st.ChainsHoisted != 1 {
+			t.Errorf("%s: stale chain not skipped as illegal: %v", tc.name, st)
+		}
+		if got := q.Funcs[0].Blocks[0].Instrs[1].ChainID; got == 0 {
+			t.Errorf("%s: valid chain not hoisted next to its head", tc.name)
+		}
+	}
+}

@@ -391,30 +391,137 @@ func (p *Program) validateBlock(f *Func, b *Block) error {
 
 // ccReg is the pseudo-register index used for condition flags in dependence
 // analysis. Register indices 0..15 are architected; 16 is CC.
-const ccReg = int(isa.NumRegs)
+const ccReg = isa.NumRegs
 
-// numDepRegs is the size of the dependence-tracking register space.
-const numDepRegs = ccReg + 1
+// footprint is an instruction's dependence footprint: the registers it reads
+// and writes as masks over the dependence-tracking space (architected
+// registers + CC), and its memory class.
+type footprint struct {
+	reads, writes uint32
+	load, store   bool
+	region        int
+}
 
-// depSets returns the registers read and written by an instruction in the
-// dependence-tracking space (architected registers + CC).
-func depSets(in *Instr) (reads, writes []int) {
+// footprintOf computes an instruction's dependence footprint.
+func footprintOf(in *Instr) footprint {
+	var f footprint
 	var srcs [4]isa.Reg
 	for _, r := range in.Sources(srcs[:0]) {
 		if r < isa.NumRegs {
-			reads = append(reads, int(r))
+			f.reads |= 1 << r
 		}
 	}
 	if in.ReadsCC() {
-		reads = append(reads, ccReg)
+		f.reads |= 1 << ccReg
 	}
 	if d := in.Dest(); d != isa.NoReg && d < isa.NumRegs {
-		writes = append(writes, int(d))
+		f.writes |= 1 << d
 	}
 	if in.WritesCC() {
-		writes = append(writes, ccReg)
+		f.writes |= 1 << ccReg
 	}
-	return reads, writes
+	if in.Op.IsMem() {
+		f.store = !in.Op.HasDst()
+		f.load = !f.store
+		f.region = in.MemRegion
+	}
+	return f
+}
+
+// conflicts reports whether two instructions must keep their relative
+// order: a RAW, WAR or WAW register/CC dependence in either direction, or a
+// store against another memory operation in the same region (loads commute).
+// The relation is symmetric.
+func conflicts(a, b *footprint) bool {
+	if a.writes&(b.reads|b.writes) != 0 || a.reads&b.writes != 0 {
+		return true
+	}
+	return (a.store && (b.load || b.store) || a.load && b.store) && a.region == b.region
+}
+
+// Deps is a block's dependence relation: for each instruction, the set of
+// earlier instructions it conflicts with, as a bitset over the block's
+// instruction indices at the time of Reset ("original indices").
+//
+// The conflict relation depends only on the instructions, never on their
+// positions, and a legal reorder never swaps a conflicting pair. So after
+// any sequence of legal reorders the relation computed on original indices
+// still describes the block: a further reorder is legal exactly when, in
+// terms of original indices, every conflicting pair keeps its original
+// order. The CritIC pass builds one Deps per block and checks every chain
+// and prefix retry against it.
+type Deps struct {
+	n, words int
+	term     bool        // the last instruction is a control terminator
+	pred     []uint64    // pred[j*words:(j+1)*words]: earlier instructions j conflicts with
+	placed   []uint64    // scratch for Legal
+	fps      []footprint // scratch for Reset
+}
+
+// Reset computes the dependence relation of b's current instruction order,
+// reusing d's storage.
+func (d *Deps) Reset(b *Block) {
+	n := len(b.Instrs)
+	d.n, d.words = n, (n+63)/64
+	d.term = n > 0 && b.Instrs[n-1].Op.IsControl()
+	d.pred = resize(d.pred, n*d.words)
+	d.placed = resize(d.placed, d.words)
+	d.fps = d.fps[:0]
+	for i := range b.Instrs {
+		d.fps = append(d.fps, footprintOf(&b.Instrs[i]))
+	}
+	for j := 1; j < n; j++ {
+		row := d.pred[j*d.words : (j+1)*d.words]
+		for i := 0; i < j; i++ {
+			if conflicts(&d.fps[i], &d.fps[j]) {
+				row[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+}
+
+// resize returns s with length n and every word zero, reallocating only when
+// its capacity is short.
+func resize(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Legal reports whether the order (order[k] = original index of the
+// instruction placed at position k) is a permutation of the block that
+// keeps every conflicting pair in its original order and the terminator
+// last. It scans the order once, checking that each instruction's earlier
+// conflicts are already placed, and allocates nothing.
+func (d *Deps) Legal(order []int) bool {
+	if len(order) != d.n {
+		return false
+	}
+	placed := d.placed
+	clear(placed)
+	for _, o := range order {
+		if o < 0 || o >= d.n {
+			return false
+		}
+		w, bit := o>>6, uint64(1)<<(o&63)
+		if placed[w]&bit != 0 {
+			return false // not a permutation
+		}
+		row := d.pred[o*d.words : (o+1)*d.words]
+		for i := 0; i < w; i++ {
+			if row[i]&^placed[i] != 0 {
+				return false
+			}
+		}
+		if row[w]&(bit-1)&^placed[w] != 0 {
+			return false
+		}
+		placed[w] |= bit
+	}
+	return !d.term || order[d.n-1] == d.n-1
 }
 
 // ReorderLegal reports whether reordering the instructions of b according to
@@ -428,93 +535,39 @@ func depSets(in *Instr) (reads, writes []int) {
 //     loads may reorder freely with loads),
 //   - the terminator stays terminal.
 //
-// The CritIC hoisting pass uses this as its legality oracle.
+// It is the one-shot form of Deps.Reset followed by Deps.Legal, the legality
+// oracle the CritIC hoisting pass uses.
 func ReorderLegal(b *Block, perm []int) bool {
-	n := len(b.Instrs)
-	if len(perm) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, o := range perm {
-		if o < 0 || o >= n || seen[o] {
-			return false
-		}
-		seen[o] = true
-	}
-	// Terminator must remain last.
-	if n > 0 && b.Instrs[n-1].Op.IsControl() && perm[n-1] != n-1 {
-		return false
-	}
-	// newPos[original index] = new position.
-	newPos := make([]int, n)
-	for np, o := range perm {
-		newPos[o] = np
-	}
-	// Pairwise dependence check: for every ordered pair (i, j) with i < j
-	// in the original program that carries a dependence, require
-	// newPos[i] < newPos[j]. O(n^2) on block sizes (tens) is fine.
-	for j := 1; j < n; j++ {
-		rj, wj := depSets(&b.Instrs[j])
-		for i := 0; i < j; i++ {
-			ri, wi := depSets(&b.Instrs[i])
-			if dependsRegs(ri, wi, rj, wj) || dependsMem(&b.Instrs[i], &b.Instrs[j]) {
-				if newPos[i] >= newPos[j] {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	var d Deps
+	d.Reset(b)
+	return d.Legal(perm)
 }
 
-// dependsRegs reports a RAW, WAR or WAW register dependence between an
-// earlier instruction (reads ri, writes wi) and a later one (rj, wj).
-func dependsRegs(ri, wi, rj, wj []int) bool {
-	for _, w := range wi {
-		for _, r := range rj {
-			if w == r {
-				return true // RAW
-			}
-		}
-		for _, w2 := range wj {
-			if w == w2 {
-				return true // WAW
-			}
-		}
-	}
-	for _, r := range ri {
-		for _, w := range wj {
-			if r == w {
-				return true // WAR
-			}
-		}
-	}
-	return false
-}
-
-// dependsMem conservatively orders memory operations: a store orders against
-// every other memory operation in the same region; loads commute.
-func dependsMem(a, b *Instr) bool {
-	if !a.Op.IsMem() || !b.Op.IsMem() {
-		return false
-	}
-	aStore := !a.Op.HasDst()
-	bStore := !b.Op.HasDst()
-	if !aStore && !bStore {
-		return false
-	}
-	return a.MemRegion == b.MemRegion
-}
-
-// ApplyReorder permutes b.Instrs according to perm (perm[i] = original index
-// of the instruction now at position i). Callers should have checked
-// ReorderLegal first.
+// ApplyReorder permutes b.Instrs in place according to perm (perm[i] =
+// original index of the instruction now at position i), following each
+// cycle of the permutation. perm is used to mark visited entries and is
+// restored before returning. Callers should have checked ReorderLegal first.
 func ApplyReorder(b *Block, perm []int) {
-	out := make([]Instr, len(perm))
-	for np, o := range perm {
-		out[np] = b.Instrs[o]
+	for start := range perm {
+		if perm[start] < 0 {
+			continue // already moved as part of an earlier cycle
+		}
+		saved := b.Instrs[start]
+		dst := start
+		for {
+			src := perm[dst]
+			perm[dst] = ^src
+			if src == start {
+				b.Instrs[dst] = saved
+				break
+			}
+			b.Instrs[dst] = b.Instrs[src]
+			dst = src
+		}
 	}
-	b.Instrs = out
+	for i := range perm {
+		perm[i] = ^perm[i]
+	}
 }
 
 // FuncOf returns the function containing addr, or -1 if none. Valid after

@@ -378,3 +378,310 @@ func TestLayoutOrderRejectsBadOrder(t *testing.T) {
 		}()
 	}
 }
+
+// The pairwise legality oracle ReorderLegal was implemented with before the
+// per-block bitset relation, kept verbatim as the reference model the
+// property and fuzz tests hold the production oracle to.
+
+// depSets returns the registers read and written by an instruction in the
+// dependence-tracking space (architected registers + CC).
+func depSets(in *Instr) (reads, writes []int) {
+	var srcs [4]isa.Reg
+	for _, r := range in.Sources(srcs[:0]) {
+		if r < isa.NumRegs {
+			reads = append(reads, int(r))
+		}
+	}
+	if in.ReadsCC() {
+		reads = append(reads, ccReg)
+	}
+	if d := in.Dest(); d != isa.NoReg && d < isa.NumRegs {
+		writes = append(writes, int(d))
+	}
+	if in.WritesCC() {
+		writes = append(writes, ccReg)
+	}
+	return reads, writes
+}
+
+// referenceReorderLegal is the pairwise reference oracle.
+func referenceReorderLegal(b *Block, perm []int) bool {
+	n := len(b.Instrs)
+	if len(perm) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, o := range perm {
+		if o < 0 || o >= n || seen[o] {
+			return false
+		}
+		seen[o] = true
+	}
+	// Terminator must remain last.
+	if n > 0 && b.Instrs[n-1].Op.IsControl() && perm[n-1] != n-1 {
+		return false
+	}
+	// newPos[original index] = new position.
+	newPos := make([]int, n)
+	for np, o := range perm {
+		newPos[o] = np
+	}
+	// Pairwise dependence check: for every ordered pair (i, j) with i < j
+	// in the original program that carries a dependence, require
+	// newPos[i] < newPos[j]. O(n^2) on block sizes (tens) is fine.
+	for j := 1; j < n; j++ {
+		rj, wj := depSets(&b.Instrs[j])
+		for i := 0; i < j; i++ {
+			ri, wi := depSets(&b.Instrs[i])
+			if dependsRegs(ri, wi, rj, wj) || dependsMem(&b.Instrs[i], &b.Instrs[j]) {
+				if newPos[i] >= newPos[j] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// dependsRegs reports a RAW, WAR or WAW register dependence between an
+// earlier instruction (reads ri, writes wi) and a later one (rj, wj).
+func dependsRegs(ri, wi, rj, wj []int) bool {
+	for _, w := range wi {
+		for _, r := range rj {
+			if w == r {
+				return true // RAW
+			}
+		}
+		for _, w2 := range wj {
+			if w == w2 {
+				return true // WAW
+			}
+		}
+	}
+	for _, r := range ri {
+		for _, w := range wj {
+			if r == w {
+				return true // WAR
+			}
+		}
+	}
+	return false
+}
+
+// dependsMem conservatively orders memory operations: a store orders against
+// every other memory operation in the same region; loads commute.
+func dependsMem(a, b *Instr) bool {
+	if !a.Op.IsMem() || !b.Op.IsMem() {
+		return false
+	}
+	aStore := !a.Op.HasDst()
+	bStore := !b.Op.HasDst()
+	if !aStore && !bStore {
+		return false
+	}
+	return a.MemRegion == b.MemRegion
+}
+
+// chooser returns a value in [0, k). The property test draws from a seeded
+// RNG; the fuzz target decodes its input bytes.
+type chooser func(k int) int
+
+// byteChooser decodes data one byte per choice, yielding 0 once exhausted.
+func byteChooser(data []byte) chooser {
+	return func(k int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0])
+		data = data[1:]
+		return v % k
+	}
+}
+
+// randomBlock builds a block of ALU ops over a small register pool (so
+// register dependences are frequent), CC setters and predicated readers,
+// three-source multiplies, and loads and stores over one or two data
+// regions, optionally ending in a control terminator.
+func randomBlock(pick chooser) *Block {
+	regs := []isa.Reg{isa.R0, isa.R1, isa.R2, isa.R3, isa.R4, isa.LR}
+	reg := func() isa.Reg { return regs[pick(len(regs))] }
+	alu := []isa.Op{isa.OpADD, isa.OpSUB, isa.OpEOR, isa.OpMOV, isa.OpLSL}
+	loads := []isa.Op{isa.OpLDR, isa.OpLDRB, isa.OpVLDR}
+	stores := []isa.Op{isa.OpSTR, isa.OpSTRB, isa.OpVSTR}
+	regions := 1 + pick(2)
+	n := 1 + pick(16)
+	b := &Block{ID: 0, End: EndFallthrough, Next: 0}
+	for i := 0; i < n; i++ {
+		in := isa.Inst{Op: isa.OpNOP, Rd: isa.NoReg, Rn: isa.NoReg, Rm: isa.NoReg}
+		region := 0
+		switch pick(7) {
+		case 0: // register ALU op
+			in = isa.Inst{Op: alu[pick(len(alu))], Rd: reg(), Rn: reg(), Rm: reg()}
+		case 1: // immediate ALU op
+			in = isa.Inst{Op: alu[pick(len(alu))], Rd: reg(), Rn: reg(), Rm: isa.NoReg, HasImm: true, Imm: int32(pick(64))}
+		case 2: // CC setter
+			op := isa.OpCMP
+			if pick(2) == 1 {
+				op = isa.OpTST
+			}
+			in = isa.Inst{Op: op, Rd: isa.NoReg, Rn: reg(), Rm: reg()}
+		case 3: // predicated CC reader
+			in = isa.Inst{Op: alu[pick(len(alu))], Cond: isa.CondNE, Rd: reg(), Rn: reg(), Rm: reg()}
+		case 4: // three-source multiply-accumulate
+			in = isa.Inst{Op: isa.OpMLA, Rd: reg(), Rn: reg(), Rm: reg()}
+		case 5:
+			in = isa.Inst{Op: loads[pick(len(loads))], Rd: reg(), Rn: reg(), Rm: isa.NoReg, HasImm: true, Imm: 4}
+			region = pick(regions)
+		case 6:
+			in = isa.Inst{Op: stores[pick(len(stores))], Rd: isa.NoReg, Rn: reg(), Rm: reg(), HasImm: true, Imm: 4}
+			region = pick(regions)
+		}
+		b.Instrs = append(b.Instrs, Instr{Inst: in, MemRegion: region})
+	}
+	switch pick(4) {
+	case 1:
+		b.End = EndJump
+		b.Instrs[n-1].Inst = isa.Inst{Op: isa.OpB, Rd: isa.NoReg, Rn: isa.NoReg, Rm: isa.NoReg}
+	case 2:
+		b.End = EndCondBranch
+		b.Instrs[n-1].Inst = isa.Inst{Op: isa.OpB, Cond: isa.CondEQ, Rd: isa.NoReg, Rn: isa.NoReg, Rm: isa.NoReg}
+	case 3:
+		b.End = EndReturn
+		b.Instrs[n-1].Inst = isa.Inst{Op: isa.OpBX, Rd: isa.NoReg, Rn: isa.LR, Rm: isa.NoReg}
+	}
+	return b
+}
+
+// randomPerm draws a candidate reordering of an n-instruction block: a
+// uniformly random permutation, a hoist-shaped one (chain members moved
+// contiguous at the first member's position, displaced non-members after
+// them in order, as the CritIC pass builds them), or a malformed one.
+func randomPerm(pick chooser, n int) []int {
+	switch pick(8) {
+	case 0, 1, 2: // uniformly random (Fisher-Yates)
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := n - 1; i > 0; i-- {
+			j := pick(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		return perm
+	case 7: // malformed: wrong length, duplicate or out-of-range entry
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		switch pick(3) {
+		case 0:
+			return perm[:n-1]
+		case 1:
+			if n > 1 {
+				perm[pick(n)] = perm[pick(n)]
+			}
+			return perm
+		default:
+			perm[pick(n)] = n + pick(3)
+			return perm
+		}
+	}
+	// Hoist-shaped: ascending members drawn from [0, n).
+	var members []int
+	for i := 0; i < n; i++ {
+		if pick(3) == 0 {
+			members = append(members, i)
+		}
+	}
+	if len(members) == 0 {
+		members = append(members, pick(n))
+	}
+	first, last := members[0], members[len(members)-1]
+	perm := make([]int, 0, n)
+	for i := 0; i < first; i++ {
+		perm = append(perm, i)
+	}
+	perm = append(perm, members...)
+	next := 0
+	for i := first; i <= last; i++ {
+		if next < len(members) && members[next] == i {
+			next++
+			continue
+		}
+		perm = append(perm, i)
+	}
+	for i := last + 1; i < n; i++ {
+		perm = append(perm, i)
+	}
+	return perm
+}
+
+// checkAgainstReference fails t if ReorderLegal and the pairwise reference
+// disagree on (b, perm), and returns the reference verdict.
+func checkAgainstReference(t *testing.T, b *Block, perm []int) bool {
+	t.Helper()
+	want := referenceReorderLegal(b, perm)
+	if got := ReorderLegal(b, perm); got != want {
+		t.Fatalf("ReorderLegal = %v, reference = %v\nblock: %v\nperm: %v", got, want, b.Instrs, perm)
+	}
+	return want
+}
+
+// TestReorderLegalMatchesReference holds the bitset oracle to the pairwise
+// reference on seeded random blocks and permutations, and checks the
+// sharing argument the CritIC pass relies on: a Deps built once on the
+// original block keeps answering correctly, in original indices, after
+// legal reorders have been applied to the block.
+func TestReorderLegalMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	pick := func(k int) int { return r.Intn(k) }
+	var legal, illegal int
+	for trial := 0; trial < 3000; trial++ {
+		b := randomBlock(pick)
+		n := len(b.Instrs)
+		var d Deps
+		d.Reset(b)
+		// at[pos] = original index of the instruction now at pos.
+		at := make([]int, n)
+		for i := range at {
+			at[i] = i
+		}
+		for step := 0; step < 6; step++ {
+			perm := randomPerm(pick, n)
+			ok := checkAgainstReference(t, b, perm)
+			if ok {
+				legal++
+			} else {
+				illegal++
+			}
+			if len(perm) != n || !ok {
+				continue
+			}
+			order := make([]int, n)
+			for k, c := range perm {
+				order[k] = at[c]
+			}
+			if !d.Legal(order) {
+				t.Fatalf("shared Deps rejected a legal reorder after %d applied ones", step)
+			}
+			ApplyReorder(b, perm)
+			at = order
+		}
+	}
+	if legal < 1000 || illegal < 1000 {
+		t.Errorf("unbalanced cases: %d legal, %d illegal", legal, illegal)
+	}
+}
+
+// FuzzReorderLegal decodes a block and a permutation from the input and
+// checks ReorderLegal against the pairwise reference. The seed corpus
+// lives in testdata/fuzz/FuzzReorderLegal.
+func FuzzReorderLegal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 11, 5, 0, 1, 2, 3, 2, 1, 4, 0, 5, 3, 1, 6, 2, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := byteChooser(data)
+		b := randomBlock(pick)
+		checkAgainstReference(t, b, randomPerm(pick, len(b.Instrs)))
+	})
+}
