@@ -36,6 +36,7 @@ import (
 	"critics/internal/exp"
 	"critics/internal/fleet"
 	"critics/internal/layout"
+	"critics/internal/prog"
 	"critics/internal/sched"
 	"critics/internal/sketch"
 	"critics/internal/telemetry"
@@ -269,20 +270,30 @@ func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	prof := ec.Profile(app, false, 1)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	optimized, st := ec.Variant(app, critKind)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	mBase := ec.MeasureVariant(app, baseKind, ec.FrontendConfig(app, baseKind, ec.L1IPolicy), collect)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	mOpt := ec.MeasureVariant(app, critKind, ec.FrontendConfig(app, critKind, ec.L1IPolicy), collect)
+	// The baseline measurement needs only the program, so it runs as one
+	// shard beside the other, profile → compile → CritIC measurement. With
+	// one worker the shards run in index order: baseline first. Every stage
+	// is a memoized pure function of its key, so the overlap changes
+	// wall-clock only.
+	var (
+		prof        *core.Profile
+		optimized   *prog.Program
+		st          compiler.Stats
+		mBase, mOpt *exp.Measurement
+	)
+	ec.ForEach(2, func(i int) {
+		if i == 0 {
+			mBase = ec.MeasureVariant(app, baseKind, ec.FrontendConfig(app, baseKind, ec.L1IPolicy), collect)
+			return
+		}
+		if prof = ec.Profile(app, false, 1); ctx.Err() != nil {
+			return
+		}
+		if optimized, st = ec.Variant(app, critKind); ctx.Err() != nil {
+			return
+		}
+		mOpt = ec.MeasureVariant(app, critKind, ec.FrontendConfig(app, critKind, ec.L1IPolicy), collect)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -158,75 +158,112 @@ func (p *Profile) Selected() []Entry {
 }
 
 // BuildProfile profiles the windows of program pr and returns the CritIC
-// profile under cfg.
+// profile under cfg. It is a thin adapter over Accumulator: chain extraction
+// is independent per window, so it is sharded over a cfg.Workers pool, and
+// the extracted windows are then folded in index order, keeping the profile
+// bit-identical for every worker count.
 func BuildProfile(pr *prog.Program, windows []trace.Window, cfg Config) *Profile {
-	if cfg.MaxLen <= 0 || cfg.MaxLen > MaxChainLen {
-		cfg.MaxLen = MaxChainLen
-	}
-	if cfg.MinLen < 2 {
-		cfg.MinLen = 2
-	}
-	type acc struct {
-		count     int64
-		fanoutSum float64
-	}
-	agg := make(map[ChainKey]*acc)
-	var totalDyn int64
-
-	opt := dfg.Options{
-		ChunkSize:    cfg.ChunkSize,
-		FanoutWindow: cfg.FanoutWindow,
-		SameBlock:    true,
-		MaxLen:       cfg.MaxLen,
-		MinLen:       cfg.MinLen,
-	}
-	// Chain extraction is independent per window, so it is sharded over the
-	// worker pool; the order-sensitive reduction below (map updates and
-	// float accumulation into fanoutSum) runs serially in window index
-	// order, keeping the profile bit-identical for every worker count.
+	acc := NewAccumulator(pr, cfg)
 	perWindow := make([][]dfg.Chain, len(windows))
 	pool := sched.NewPool(max(cfg.Workers, 1)).Named("profile")
 	if cfg.Ctx != nil {
 		pool.WithContext(cfg.Ctx)
 	}
 	pool.Map(len(windows), func(i int) {
-		perWindow[i] = dfg.Extract(windows[i].Dyns, opt)
+		perWindow[i] = dfg.Extract(windows[i].Dyns, acc.opt)
 	})
-	for wi, w := range windows {
-		totalDyn += int64(len(w.Dyns))
-		chains := perWindow[wi]
-		for i := range chains {
-			c := &chains[i]
-			if c.AvgFanout() < cfg.AvgFanoutThreshold {
-				continue
-			}
-			key, ok := keyOf(w.Dyns, c)
-			if !ok {
-				continue
-			}
-			a := agg[key]
-			if a == nil {
-				a = &acc{}
-				agg[key] = a
-			}
-			a.count++
-			a.fanoutSum += c.AvgFanout()
-		}
+	for i, w := range windows {
+		acc.fold(w.Dyns, perWindow[i])
 	}
+	return acc.Finish()
+}
 
-	p := &Profile{App: pr.Name, TotalDyn: totalDyn}
-	for key, a := range agg {
-		e := Entry{
+// Accumulator builds a Profile one sampled window at a time: Add each
+// window in sample order, then Finish ranks the candidates and selects the
+// CritICs. A window's dynamic instructions are only read during its Add, so
+// a streaming profiler can reuse the buffer for the next window. It is the
+// one reduction behind every profile (BuildProfile included); the fold
+// order — and with it every float sum — is the window order.
+type Accumulator struct {
+	pr       *prog.Program
+	cfg      Config
+	opt      dfg.Options
+	agg      map[ChainKey]*chainAcc
+	totalDyn int64
+}
+
+// chainAcc is one static chain's running occurrence count and fanout sum.
+type chainAcc struct {
+	count     int64
+	fanoutSum float64
+}
+
+// NewAccumulator returns an empty accumulator profiling program pr under
+// cfg. cfg.Workers and cfg.Ctx are BuildProfile's and are not used here.
+func NewAccumulator(pr *prog.Program, cfg Config) *Accumulator {
+	if cfg.MaxLen <= 0 || cfg.MaxLen > MaxChainLen {
+		cfg.MaxLen = MaxChainLen
+	}
+	if cfg.MinLen < 2 {
+		cfg.MinLen = 2
+	}
+	return &Accumulator{
+		pr:  pr,
+		cfg: cfg,
+		opt: dfg.Options{
+			ChunkSize:    cfg.ChunkSize,
+			FanoutWindow: cfg.FanoutWindow,
+			SameBlock:    true,
+			MaxLen:       cfg.MaxLen,
+			MinLen:       cfg.MinLen,
+		},
+		agg: make(map[ChainKey]*chainAcc),
+	}
+}
+
+// Add extracts the chains of one sampled window and folds them in.
+func (a *Accumulator) Add(dyns []trace.Dyn) {
+	a.fold(dyns, dfg.Extract(dyns, a.opt))
+}
+
+// fold counts the critical chains of one window, whose chains were
+// extracted under a.opt.
+func (a *Accumulator) fold(dyns []trace.Dyn, chains []dfg.Chain) {
+	a.totalDyn += int64(len(dyns))
+	for i := range chains {
+		c := &chains[i]
+		if c.AvgFanout() < a.cfg.AvgFanoutThreshold {
+			continue
+		}
+		key, ok := keyOf(dyns, c)
+		if !ok {
+			continue
+		}
+		e := a.agg[key]
+		if e == nil {
+			e = &chainAcc{}
+			a.agg[key] = e
+		}
+		e.count++
+		e.fanoutSum += c.AvgFanout()
+	}
+}
+
+// Finish returns the profile of every window added so far, ranked and with
+// the CritICs selected.
+func (a *Accumulator) Finish() *Profile {
+	p := &Profile{App: a.pr.Name, TotalDyn: a.totalDyn}
+	for key, e := range a.agg {
+		p.Entries = append(p.Entries, Entry{
 			Key:       key,
 			Length:    int(key.N),
-			DynCount:  a.count,
-			AvgFanout: a.fanoutSum / float64(a.count),
-			ThumbOK:   ChainThumbOK(pr, key),
-		}
-		p.Entries = append(p.Entries, e)
+			DynCount:  e.count,
+			AvgFanout: e.fanoutSum / float64(e.count),
+			ThumbOK:   ChainThumbOK(a.pr, key),
+		})
 	}
 	p.Rank()
-	selectEntries(p, cfg)
+	selectEntries(p, a.cfg)
 	return p
 }
 

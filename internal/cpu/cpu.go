@@ -178,12 +178,6 @@ type Result struct {
 	L2Accesses     int64
 	DRAMAccesses   int64
 
-	// Hierarchy/BPU handles for stats and the energy model. In-memory only:
-	// excluded from the JSON wire form (internal/dist ships Results between
-	// machines; no consumer of a remote result reads these).
-	Hier *cache.Hierarchy `json:"-"`
-	BPU  *bpu.Predictor   `json:"-"`
-
 	// Records is non-nil when Config.CollectRecords is set; aligned with
 	// the input dyn slice.
 	Records []Record
@@ -384,7 +378,7 @@ func (s *Sim) Run(dyns []trace.Dyn, fanouts []int32) Result {
 // additionally copied out to the O(n) Result.Records slice as instructions
 // retire.
 func (s *Sim) RunStream(st Stream) Result {
-	res := Result{Hier: s.hier, BPU: s.bpu}
+	var res Result
 	collect := s.cfg.CollectRecords
 	ia0, im0 := s.hier.L1I.Accesses, s.hier.L1I.Misses
 	da0, dm0 := s.hier.L1D.Accesses, s.hier.L1D.Misses
@@ -423,8 +417,6 @@ func (s *Sim) RunStream(st Stream) Result {
 
 		committed int64
 		instrs    int64
-
-		decodeBlockedUntil int64
 	)
 
 	// Sliding window: dyn/fan/rec cover absolute indices [winBase, hi).
@@ -664,8 +656,9 @@ func (s *Sim) RunStream(st Stream) Result {
 				e.idx = noIdx
 			}
 		}
-		// Compact the issue queue occasionally.
-		if len(iq) > 0 {
+		// Compact the issue queue. Only an issue clears a slot, so a cycle
+		// that issued nothing leaves nothing to squeeze out.
+		if budget < s.cfg.IssueWidth {
 			out := iq[:0]
 			for _, v := range iq {
 				if v.idx != noIdx {
@@ -703,38 +696,36 @@ func (s *Sim) RunStream(st Stream) Result {
 		// pushing the back-pressure into the fetch buffer where it is
 		// attributed as F.StallForR+D.
 		renameQCap := 2 * s.cfg.RenameWidth
-		if now >= decodeBlockedUntil {
-			slots := s.cfg.DecodeWidth
-			for slots > 0 && size(&fetchBuf) > 0 && size(&renameQ) < renameQCap {
-				idx := int(front(&fetchBuf))
-				d := dynAt(idx)
-				r := recAt(idx)
-				if r.Fetched >= now {
+		slots := s.cfg.DecodeWidth
+		for slots > 0 && size(&fetchBuf) > 0 && size(&renameQ) < renameQCap {
+			idx := int(front(&fetchBuf))
+			d := dynAt(idx)
+			r := recAt(idx)
+			if r.Fetched >= now {
+				break
+			}
+			pop(&fetchBuf)
+			slots--
+			r.DecodeDone = now
+			if d.IsCDP {
+				// The mode switch is consumed by the decoder; it
+				// never enters the ROB. Charge the conservative
+				// 1-cycle decoder bubble.
+				r.Dispatched = now
+				r.Issued = now
+				r.Done = now
+				r.Committed = now
+				committed++
+				retire(idx, d, r)
+				if s.cfg.CDPExtraDecodeCycle {
+					// The mode switch flushes the rest of this
+					// decode group (a sub-cycle bubble); decoding
+					// resumes next cycle in the new mode.
 					break
 				}
-				pop(&fetchBuf)
-				slots--
-				r.DecodeDone = now
-				if d.IsCDP {
-					// The mode switch is consumed by the decoder; it
-					// never enters the ROB. Charge the conservative
-					// 1-cycle decoder bubble.
-					r.Dispatched = now
-					r.Issued = now
-					r.Done = now
-					r.Committed = now
-					committed++
-					retire(idx, d, r)
-					if s.cfg.CDPExtraDecodeCycle {
-						// The mode switch flushes the rest of this
-						// decode group (a sub-cycle bubble); decoding
-						// resumes next cycle in the new mode.
-						break
-					}
-					continue
-				}
-				push(&renameQ, int32(idx))
+				continue
 			}
+			push(&renameQ, int32(idx))
 		}
 
 		// ---- Fetch ----

@@ -1,5 +1,7 @@
 package cpu
 
+import "math/bits"
+
 // critEntry is one criticality-table entry. Entries are stored inline in a
 // flat open-addressed array (critTable) rather than behind per-PC pointers:
 // the table is probed on every commit (training) and, under BackendPrio, on
@@ -23,15 +25,24 @@ type critEntry struct {
 // re-inserts, which is deterministic and invisible to results.
 type critTable struct {
 	entries []critEntry
-	n       int // used entries
+	n       int    // used entries
+	shift   uint32 // 32 - log2(len(entries)): critHash keeps the top bits
 }
 
 const critTableInitSize = 256 // power of two
 
-// critHash spreads a PC over the table (Fibonacci hashing; sizes are powers
-// of two so the mask select is exact).
-func critHash(pc uint32, mask uint32) uint32 {
-	return (pc * 0x9E3779B1) & mask
+// critHash spreads a PC over a table of 1<<(32-shift) slots by Fibonacci
+// hashing. It keeps the product's high bits: PCs are 4-byte aligned (2-byte
+// in Thumb runs), so the low bits of pc*odd are zero too, and a low-bit mask
+// would leave up to three quarters of the slots unable to be a home slot.
+func critHash(pc, shift uint32) uint32 {
+	return (pc * 0x9E3779B1) >> shift
+}
+
+// alloc replaces the table's storage with size empty slots (a power of two).
+func (t *critTable) alloc(size int) {
+	t.entries = make([]critEntry, size)
+	t.shift = 32 - uint32(bits.TrailingZeros(uint(size)))
 }
 
 // lookup returns the entry for pc, or nil when absent.
@@ -40,7 +51,7 @@ func (t *critTable) lookup(pc uint32) *critEntry {
 		return nil
 	}
 	mask := uint32(len(t.entries) - 1)
-	for i := critHash(pc, mask); ; i = (i + 1) & mask {
+	for i := critHash(pc, t.shift); ; i = (i + 1) & mask {
 		e := &t.entries[i]
 		if !e.used {
 			return nil
@@ -56,12 +67,12 @@ func (t *critTable) lookup(pc uint32) *critEntry {
 // entries).
 func (t *critTable) insert(pc uint32) *critEntry {
 	if len(t.entries) == 0 {
-		t.entries = make([]critEntry, critTableInitSize)
+		t.alloc(critTableInitSize)
 	} else if 4*(t.n+1) > 3*len(t.entries) {
 		t.grow()
 	}
 	mask := uint32(len(t.entries) - 1)
-	for i := critHash(pc, mask); ; i = (i + 1) & mask {
+	for i := critHash(pc, t.shift); ; i = (i + 1) & mask {
 		e := &t.entries[i]
 		if !e.used {
 			e.used = true
@@ -78,14 +89,14 @@ func (t *critTable) insert(pc uint32) *critEntry {
 // grow doubles the table and re-inserts every used entry.
 func (t *critTable) grow() {
 	old := t.entries
-	t.entries = make([]critEntry, 2*len(old))
+	t.alloc(2 * len(old))
 	mask := uint32(len(t.entries) - 1)
 	for i := range old {
 		e := &old[i]
 		if !e.used {
 			continue
 		}
-		j := critHash(e.pc, mask)
+		j := critHash(e.pc, t.shift)
 		for t.entries[j].used {
 			j = (j + 1) & mask
 		}

@@ -93,12 +93,10 @@ func (t Task) label() string {
 	return fmt.Sprintf("%s/%s", t.Req.App.Name, t.Req.Kind)
 }
 
-// TaskResult is the worker's reply: the measurement in wire form. The
-// cpu.Result's in-memory hierarchy/BPU handles are excluded from JSON (no
-// consumer of a remote measurement reads them); everything else — counters,
-// the window aggregates, and (for collect=true requests only) the
-// per-instruction records, dynamic stream and fanouts — round-trips
-// exactly. Streamed (collect=false) measurements retain no slices, so
+// TaskResult is the worker's reply: the measurement in wire form. All of
+// it — the cpu.Result counters, the window aggregates, and (for
+// collect=true requests only) the per-instruction records, dynamic stream
+// and fanouts — round-trips exactly. Streamed (collect=false) measurements retain no slices, so
 // their replies are a few hundred bytes regardless of window length.
 type TaskResult struct {
 	Res     cpu.Result    `json:"res"`

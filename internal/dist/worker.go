@@ -30,8 +30,8 @@ type WorkerConfig struct {
 	// for the same app reuse programs/profiles/variants. nil creates one.
 	Caches *exp.Caches
 
-	// Workers bounds each task's internal shard pool (per-window profile
-	// extraction); 0 selects GOMAXPROCS.
+	// Workers is each task's exp.Context worker bound, the width of any
+	// shard fan-out inside a task; 0 selects GOMAXPROCS.
 	Workers int
 
 	// Capacity is how many tasks execute concurrently; excess requests wait

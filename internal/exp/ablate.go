@@ -37,7 +37,7 @@ func RunAblateFetch(c *Context) *AblateFetchResult {
 	for wi := range widths {
 		grid[wi] = make([]cell, len(apps))
 	}
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		// Each variant kind is measured at all three widths over one shared
 		// trace: the sweep helper batches the widths per kind (3-lane builds).
@@ -123,7 +123,7 @@ func RunAblateCDP(c *Context) *AblateCDPResult {
 	for vi := range variants {
 		grid[vi] = make([]float64, len(apps))
 	}
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		units := []MeasureUnit{{VarBase, cpu.DefaultConfig()}}
 		for _, v := range variants {

@@ -31,7 +31,7 @@ type Fig8Result struct {
 func RunFig8(c *Context) *Fig8Result {
 	apps := workload.MobileApps()
 	rows := make([]Fig8Row, len(apps))
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		base := c.MeasureVariant(a, VarBase, cpu.DefaultConfig(), false)
 
@@ -99,7 +99,7 @@ type Fig10Result struct {
 func RunFig10(c *Context) *Fig10Result {
 	apps := workload.MobileApps()
 	rows := make([]Fig10Row, len(apps))
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		// Four design points, one machine each: distinct kinds mean distinct
 		// traces, so the sweep helper routes each through the memoized path.

@@ -187,7 +187,7 @@ func (c *Context) validFn() func() bool {
 	return func() bool { return ctx.Err() == nil }
 }
 
-// SetMapper routes the context's shard maps (Context.forEach) through m
+// SetMapper routes the context's shard maps (Context.ForEach) through m
 // instead of a locally constructed sched.Pool. nil restores the local pool.
 // The mapper must uphold the sched determinism contract; under it, results
 // are identical for every mapper.
@@ -231,27 +231,77 @@ func (c *Context) Program(a workload.App) *prog.Program {
 // Profile returns (and caches) the CritIC profile for an app. ideal relaxes
 // the all-or-nothing representability requirement during selection
 // (CritIC.Ideal). windowsFrac < 1 profiles only the leading fraction of the
-// sampled windows (Fig. 12b). Per-window chain extraction is sharded over
-// the context's worker pool (internal/core merges windows in index order,
-// so the profile is identical for every worker count).
+// sampled windows (Fig. 12b), round(Samples×windowsFrac) of them and at
+// least one. The windows stream through profileWindows; none is kept.
 func (c *Context) Profile(a workload.App, ideal bool, windowsFrac float64) *core.Profile {
 	key := sched.KeyOf("prof", a.Params, ideal, windowsFrac, c.ProfilePlan)
 	return memoGet(c, c.caches.profs, "profile "+a.Params.Name, key, func() *core.Profile {
 		p := c.Program(a)
-		ws := trace.Collect(p, a.Params.Seed, c.ProfilePlan)
+		if c.Err() != nil {
+			return nil
+		}
+		n := c.ProfilePlan.Samples
 		if windowsFrac > 0 && windowsFrac < 1 {
-			n := int(float64(len(ws))*windowsFrac + 0.5)
-			if n < 1 {
-				n = 1
-			}
-			ws = ws[:n]
+			n = max(int(float64(n)*windowsFrac+0.5), 1)
 		}
 		cfg := core.DefaultConfig()
 		cfg.RequireThumb = !ideal
-		cfg.Workers = c.workers()
-		cfg.Ctx = c.runCtx
-		return core.BuildProfile(p, ws, cfg)
+		acc := core.NewAccumulator(p, cfg)
+		c.profileWindows(p, a.Params.Seed, n, acc)
+		if c.Err() != nil {
+			return nil
+		}
+		return acc.Finish()
 	}, nil)
+}
+
+// profileWindows adds the first n sampled windows of the context's
+// profiling plan to acc, in sample order. A producer goroutine generates
+// window k+1 while window k is extracted and folded; the windows alternate
+// between two plan.Length buffers, and the unbuffered hand-off means the
+// producer only starts window k+2 once the fold of window k is done. A
+// cancelled run stops at the next window, leaving acc partial; the producer
+// has exited by the time profileWindows returns either way.
+func (c *Context) profileWindows(p *prog.Program, seed int64, n int, acc *core.Accumulator) {
+	plan := c.ProfilePlan
+	bufs := [2][]trace.Dyn{make([]trace.Dyn, 0, plan.Length), make([]trace.Dyn, 0, plan.Length)}
+	var (
+		full   = make(chan []trace.Dyn)
+		stop   = make(chan struct{})
+		exited = make(chan struct{})
+		perr   any // a panic of the producer, re-raised here
+	)
+	go func() {
+		defer close(exited)
+		defer close(full)
+		defer func() { perr = recover() }()
+		g := trace.NewGenerator(p, seed)
+		g.Skip(plan.Warmup)
+		for k := 0; k < n; k++ {
+			if k > 0 {
+				g.Skip(plan.Gap)
+			}
+			w := g.Generate(bufs[k%2][:0], plan.Length)
+			select {
+			case full <- w:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-exited
+	}()
+	for w := range full {
+		if c.Err() != nil {
+			return
+		}
+		acc.Add(w)
+	}
+	if perr != nil {
+		panic(perr)
+	}
 }
 
 // Variant kinds accepted by Context.Variant.
@@ -608,8 +658,8 @@ type Remote interface {
 }
 
 // ExecuteMeasure runs one measurement request against the given cache bundle
-// — the worker side of distributed execution. workers bounds the request's
-// internal shard pool (per-window profile extraction); 0 selects GOMAXPROCS.
+// — the worker side of distributed execution. workers is the request
+// context's worker bound (Context.Workers); 0 selects GOMAXPROCS.
 // caches == nil builds against a private throwaway bundle. A ctx cancelled
 // mid-build aborts the request, and (per the memo validity contract) the
 // partial artifacts are not retained.
@@ -659,9 +709,9 @@ func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches, wor
 }
 
 // measurementCost approximates a measurement's retained bytes. Streamed
-// (collect=false) measurements retain no slices — they cost the fixed
-// struct footprint — while collect=true measurements are dominated by their
-// Dyns/Fanouts/Records buffers.
+// (collect=false) measurements retain no slices and no simulator state —
+// they cost the fixed struct footprint — while collect=true measurements
+// are dominated by their Dyns/Fanouts/Records buffers.
 func measurementCost(m *Measurement) int64 {
 	const dynBytes = int64(unsafe.Sizeof(trace.Dyn{}))
 	const recBytes = int64(unsafe.Sizeof(cpu.Record{}))
@@ -713,12 +763,12 @@ func Suites() map[string][]workload.App {
 // SuiteOrder is the presentation order of suites.
 var SuiteOrder = []string{"spec.int", "spec.float", "android"}
 
-// forEach runs f over indices 0..n-1 on the context's mapper — the attached
+// ForEach runs f over indices 0..n-1 on the context's mapper — the attached
 // sched.Mapper when one is set (distributed execution), a locally
 // constructed worker pool otherwise — and waits. Results must be written to
 // preallocated, index-addressed storage; order-sensitive reductions happen
 // after it returns (the sched package's determinism contract).
-func (c *Context) forEach(n int, f func(i int)) {
+func (c *Context) ForEach(n int, f func(i int)) {
 	if m := c.mapper; m != nil {
 		g := f
 		if ctx := c.runCtx; ctx != nil {

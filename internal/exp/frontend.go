@@ -130,7 +130,7 @@ func RunFigFrontend(c *Context) *FrontendResult {
 	for i := range grid {
 		grid[i] = make([]cell, len(apps))
 	}
-	c.forEach(len(apps), func(ai int) {
+	c.ForEach(len(apps), func(ai int) {
 		a := apps[ai]
 		units := make([]MeasureUnit, 0, ncell)
 		for _, lay := range lays {

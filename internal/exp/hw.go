@@ -83,7 +83,7 @@ func RunFig11(c *Context) *Fig11Result {
 		baseRD float64
 	}
 	outs := make([]appOut, len(apps))
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 
 		// All seven machine configurations of a variant share its trace, so

@@ -44,7 +44,7 @@ func RunFig1a(c *Context) *Fig1aResult {
 		pf := make([]float64, len(apps))
 		pr := make([]float64, len(apps))
 		cf := make([]float64, len(apps))
-		c.forEach(len(apps), func(i int) {
+		c.ForEach(len(apps), func(i int) {
 			a := apps[i]
 			noPF := cpu.DefaultConfig()
 			noPF.Hier.CLPTEntries = 0
@@ -111,7 +111,7 @@ func RunFig1b(c *Context) *Fig1bResult {
 		apps := suites[suite]
 		agg := dfg.GapResult{Gaps: stats.NewHistogram(5)}
 		var mu = make([]dfg.GapResult, len(apps))
-		c.forEach(len(apps), func(i int) {
+		c.ForEach(len(apps), func(i int) {
 			a := apps[i]
 			chunk := 1024
 			if suite != "android" {
@@ -189,7 +189,7 @@ func RunFig3(c *Context) *Fig3Result {
 	for _, suite := range SuiteOrder {
 		apps := suites[suite]
 		rows := make([]Fig3Row, len(apps))
-		c.forEach(len(apps), func(i int) {
+		c.ForEach(len(apps), func(i int) {
 			a := apps[i]
 			m := c.MeasureVariant(a, VarBase, cpu.DefaultConfig(), false)
 			crit, _, n := c.critBreakdown(m)
@@ -287,7 +287,7 @@ func RunFig5a(c *Context) *Fig5aResult {
 	for _, suite := range SuiteOrder {
 		apps := suites[suite]
 		parts := make([]dfg.LengthSpreadAcc, len(apps))
-		c.forEach(len(apps), func(i int) {
+		c.ForEach(len(apps), func(i int) {
 			a := apps[i]
 			chunk := 2048
 			if suite != "android" {
@@ -341,7 +341,7 @@ func RunFig5b(c *Context) *Fig5bResult {
 		thumb   *stats.CDF
 	}
 	parts := make([]part, len(apps))
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		prof := c.Profile(apps[i], true, 1) // ideal: keep non-representable candidates visible
 		all, thumb := prof.CoverageCDF()
 		parts[i] = part{unique: prof.UniqueChains(), thumbOK: prof.ThumbRepresentableFrac(), all: all, thumb: thumb}

@@ -40,7 +40,7 @@ func RunFig13(c *Context) *Fig13Result {
 		grid[si] = make([]float64, len(apps))
 		thumb[si] = make([]float64, len(apps))
 	}
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		units := []MeasureUnit{{VarBase, cpu.DefaultConfig()}}
 		for _, sch := range fig13Schemes {

@@ -38,7 +38,7 @@ func RunFig12a(c *Context) *Fig12aResult {
 	for li := range lengths {
 		grid[li] = make([]cell, len(apps))
 	}
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		units := []MeasureUnit{{VarBase, cpu.DefaultConfig()}}
 		for _, n := range lengths {
@@ -119,7 +119,7 @@ func RunFig12b(c *Context) *Fig12bResult {
 	for fi := range fracs {
 		grid[fi] = make([]float64, len(apps))
 	}
-	c.forEach(len(apps), func(i int) {
+	c.ForEach(len(apps), func(i int) {
 		a := apps[i]
 		units := []MeasureUnit{{VarBase, cpu.DefaultConfig()}}
 		for _, f := range fracs {

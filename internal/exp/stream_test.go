@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"critics/internal/core"
 	"critics/internal/cpu"
 	"critics/internal/dfg"
 	"critics/internal/prog"
@@ -59,13 +60,6 @@ func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, Window
 	return res, agg
 }
 
-// stripResult clears the in-memory handle fields so Results from distinct
-// Sim instances compare with reflect.DeepEqual.
-func stripResult(r cpu.Result) cpu.Result {
-	r.Hier, r.BPU = nil, nil
-	return r
-}
-
 // TestMeasureStreamingEquivalence checks, for every app in the catalog and
 // both collect modes, that Measure produces exactly the Result and window
 // aggregates of the materialize-everything reference path.
@@ -80,7 +74,7 @@ func TestMeasureStreamingEquivalence(t *testing.T) {
 			wantRes, wantAgg := refMeasure(c, p, cpu.DefaultConfig())
 			for _, collect := range []bool{false, true} {
 				m := c.Measure(p, cpu.DefaultConfig(), collect)
-				got, want := stripResult(m.Res), stripResult(wantRes)
+				got, want := m.Res, wantRes
 				if !collect {
 					// The reference always collects records to rebuild the
 					// aggregates; the streamed path only keeps them when
@@ -131,5 +125,35 @@ func TestMeasureLongWindow(t *testing.T) {
 	}
 	if cost := measurementCost(m); cost > 1<<10 {
 		t.Fatalf("streamed measurement retains %d bytes, want O(struct)", cost)
+	}
+}
+
+// TestProfileStreamingEquivalence checks that the streamed profiler —
+// windows generated on a producer goroutine into two reused buffers and
+// folded as they arrive — builds exactly the profile core.BuildProfile makes
+// from the materialized windows, for every app in the catalog, for ideal
+// selection, and for a leading fraction of the windows.
+func TestProfileStreamingEquivalence(t *testing.T) {
+	c := QuickContext()
+	c.ProfilePlan = trace.SamplePlan{Samples: 5, Length: 6_000, Gap: 1_500, Warmup: 2_000}
+	for _, suite := range SuiteOrder {
+		for _, a := range Suites()[suite] {
+			p := c.Program(a)
+			ws := trace.Collect(p, a.Params.Seed, c.ProfilePlan)
+			for _, tc := range []struct {
+				ideal bool
+				frac  float64
+				n     int
+			}{{false, 1, 5}, {true, 1, 5}, {false, 0.5, 3}} {
+				cfg := core.DefaultConfig()
+				cfg.RequireThumb = !tc.ideal
+				want := core.BuildProfile(p, ws[:tc.n], cfg)
+				if got := c.Profile(a, tc.ideal, tc.frac); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s ideal=%v frac=%v: streamed profile differs (%d vs %d entries, coverage %v vs %v)",
+						a.Params.Name, tc.ideal, tc.frac, len(got.Entries), len(want.Entries),
+						got.SelectedCoverage, want.SelectedCoverage)
+				}
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ type Telemetry struct {
 	// telemetry never perturbs cache identity).
 	Sim *cpu.Metrics
 
-	// Pool instruments the per-app shard pool (Context.forEach).
+	// Pool instruments the per-app shard pool (Context.ForEach).
 	Pool *sched.PoolMetrics
 
 	// MeasureSeconds observes the wall time of each uncached Measure call

@@ -19,6 +19,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"critics/internal/obs"
 	"critics/internal/telemetry"
@@ -122,6 +123,12 @@ func NewPoolMetrics(reg *telemetry.Registry, pool string) *PoolMetrics {
 // once the context is cancelled and returns after the in-flight ones finish;
 // the determinism contract then no longer holds (some indices were never
 // run) and callers must discard the partial results.
+//
+// A panicking shard does not take the process down from a worker goroutine:
+// Map records the first panic, stops dispatching, lets the in-flight shards
+// finish, and re-raises that panic on the calling goroutine — where the
+// serial schedule would have raised it — so the caller's recover (e.g. the
+// cancellation mapping of exp.RunContext) sees it.
 func (p *Pool) Map(n int, f func(i int)) {
 	if n <= 0 || p.cancelled() {
 		return
@@ -163,7 +170,23 @@ func (p *Pool) Map(n int, f func(i int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		wg        sync.WaitGroup
+		failed    atomic.Bool
+		firstOnce sync.Once
+		first     any
+	)
+	// run executes one shard, capturing a panic instead of unwinding the
+	// worker goroutine.
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				firstOnce.Do(func() { first = r })
+				failed.Store(true)
+			}
+		}()
+		f(i)
+	}
 	next := make(chan int, n)
 	for i := 0; i < n; i++ {
 		next <- i
@@ -176,7 +199,7 @@ func (p *Pool) Map(n int, f func(i int)) {
 			labels := pprof.Labels("pool", p.name, "worker", strconv.Itoa(worker))
 			pprof.Do(context.Background(), labels, func(ctx context.Context) {
 				for i := range next {
-					if p.cancelled() {
+					if p.cancelled() || failed.Load() {
 						return
 					}
 					if m != nil {
@@ -184,7 +207,7 @@ func (p *Pool) Map(n int, f func(i int)) {
 						m.BusyWorkers.Add(1)
 					}
 					pprof.Do(ctx, pprof.Labels("shard", strconv.Itoa(i)), func(context.Context) {
-						f(i)
+						run(i)
 					})
 					if m != nil {
 						m.BusyWorkers.Add(-1)
@@ -195,4 +218,7 @@ func (p *Pool) Map(n int, f func(i int)) {
 		}(w)
 	}
 	wg.Wait()
+	if failed.Load() {
+		panic(first)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"critics/internal/telemetry"
 )
@@ -178,5 +179,37 @@ func TestGetHit(t *testing.T) {
 	}
 	if v, hit := m.GetHit(KeyOf("k"), func() int { t.Error("rebuilt"); return 0 }, nil); !hit || v != 1 {
 		t.Errorf("second lookup: v=%d hit=%v, want 1 true", v, hit)
+	}
+}
+
+// TestMapShardPanic: a shard panicking on a worker goroutine must not kill
+// the process. Map re-raises the first panic on the calling goroutine, and
+// only after every in-flight shard has finished, so a caller's recover sees
+// it with no shard still running — serially and in parallel.
+func TestMapShardPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var running, ran atomic.Int32
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			NewPool(workers).Map(64, func(i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				ran.Add(1)
+				if i == 5 {
+					panic("shard 5 failed")
+				}
+				time.Sleep(time.Millisecond)
+			})
+			return nil
+		}()
+		if got != "shard 5 failed" {
+			t.Fatalf("workers=%d: recovered %v, want the shard's panic value", workers, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Errorf("workers=%d: %d shards still running when Map re-raised", workers, n)
+		}
+		if n := ran.Load(); n == 64 {
+			t.Errorf("workers=%d: Map kept dispatching all 64 shards after a panic", workers)
+		}
 	}
 }

@@ -404,3 +404,28 @@ func TestServerMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentDeadlineMidRun: an experiment job whose deadline expires
+// while its shards run must fail with the deadline error and leave the
+// daemon serving. A shard that consumes an artifact discarded by the
+// cancellation panics on a pool worker goroutine; the pool has to carry
+// that panic back to the job's goroutine, where the cancellation mapping
+// turns it into the context's error, instead of crashing the process.
+func TestExperimentDeadlineMidRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real pipeline")
+	}
+	_, c := start(t, Config{QueueSize: 8, Workers: 1})
+	ctx := context.Background()
+	for _, ms := range []int64{1, 5, 10, 20, 40, 80} {
+		st := submitAndWait(t, c, SubmitRequest{
+			Kind: KindExperiment, Experiment: "fig10a", Quick: true, TimeoutMS: ms, Workers: 4,
+		})
+		if st.State != StateFailed || !strings.Contains(st.Error, context.DeadlineExceeded.Error()) {
+			t.Errorf("timeout_ms=%d: job ended %s with %q, want failed with the deadline error", ms, st.State, st.Error)
+		}
+	}
+	if _, err := c.Apps(ctx); err != nil {
+		t.Fatalf("daemon not serving after the deadline sweep: %v", err)
+	}
+}

@@ -482,8 +482,9 @@ func DefaultSamplePlan() SamplePlan {
 // deprecated for non-test callers on the measurement hot path: profilers and
 // analyses that can consume the stream incrementally should pull chunks
 // through a Source (NewGenSource after Skip-ing to the window start) and run
-// in O(chunk) memory instead. Collect remains the right tool for fixtures
-// and for the profiler's random-access sample windows.
+// in O(chunk) memory instead, as exp.Context.Profile does. Collect remains
+// for fixtures and for core.BuildProfile's remaining callers (fleet device
+// profiles, examples/designspace).
 func Collect(p *prog.Program, seed int64, plan SamplePlan) []Window {
 	g := NewGenerator(p, seed)
 	g.Skip(plan.Warmup)
