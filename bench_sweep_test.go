@@ -43,14 +43,17 @@ func BenchmarkSweepSerial(b *testing.B) {
 
 // BenchmarkSweepBatched measures the batched sweep path: all configurations
 // of the variant build as lockstep BatchSim lanes over one shared trace pass
-// (exp.MeasureBatch on a cold measurement cache). Output is bit-identical to
+// (exp.MeasureSweep on a cold measurement cache). Output is bit-identical to
 // the serial path — see TestCatalogBatchedEquivalence — so ns/op against
 // BenchmarkSweepSerial is the sweep speedup. The lanes simulate concurrently,
 // so the ratio scales with cores: on one core only the shared generation and
 // fanout work is saved.
 func BenchmarkSweepBatched(b *testing.B) {
 	app := acrobatProgram()
-	cfgs := sweepConfigs()
+	var units []exp.MeasureUnit
+	for _, cfg := range sweepConfigs() {
+		units = append(units, exp.MeasureUnit{Kind: exp.VarBase, Cfg: cfg})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +61,7 @@ func BenchmarkSweepBatched(b *testing.B) {
 		ctx := exp.QuickContext()
 		ctx.Program(*app)
 		b.StartTimer()
-		ctx.MeasureBatch(*app, exp.VarBase, cfgs, false)
+		ctx.MeasureSweep(*app, units, false)
 	}
 }
 

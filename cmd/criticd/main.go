@@ -93,7 +93,7 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	if *worker {
-		runWorker(logger, *addr, *coordinator, *advertise, *artifactDir, *capacity, *jobWorkers, *failFirst, *drainTimeout)
+		runWorker(logger, *addr, *coordinator, *advertise, *artifactDir, *capacity, *failFirst, *drainTimeout)
 		return
 	}
 
@@ -215,7 +215,7 @@ func main() {
 // runWorker is criticd -worker: serve the dist task API, optionally announce
 // to a coordinator, and on SIGINT/SIGTERM deregister, finish in-flight tasks
 // and exit.
-func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir string, capacity, jobWorkers, failFirst int, drainTimeout time.Duration) {
+func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir string, capacity, failFirst int, drainTimeout time.Duration) {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(reg, "criticd-worker")
 	coordURL = strings.TrimRight(coordURL, "/")
@@ -232,7 +232,6 @@ func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir strin
 		}
 	}
 	wk := dist.NewWorker(dist.WorkerConfig{
-		Workers:        jobWorkers,
 		Capacity:       capacity,
 		Registry:       reg,
 		Logger:         logger,

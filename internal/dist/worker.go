@@ -30,10 +30,6 @@ type WorkerConfig struct {
 	// for the same app reuse programs/profiles/variants. nil creates one.
 	Caches *exp.Caches
 
-	// Workers is each task's exp.Context worker bound, the width of any
-	// shard fan-out inside a task; 0 selects GOMAXPROCS.
-	Workers int
-
 	// Capacity is how many tasks execute concurrently; excess requests wait
 	// (the coordinator's per-attempt timeout governs). /readyz reports 503
 	// while all slots are busy. Default GOMAXPROCS.
@@ -266,7 +262,7 @@ func (w *Worker) execute(ctx context.Context, task Task) (m *exp.Measurement, er
 			m, err = nil, fmt.Errorf("%w: %v", errBadTask, p)
 		}
 	}()
-	return exp.ExecuteMeasure(ctx, task.Req, w.cfg.Caches, w.cfg.Workers)
+	return exp.ExecuteMeasure(ctx, task.Req, w.cfg.Caches)
 }
 
 // executeScan scores one scan batch. Both inputs arrive by digest: whatever

@@ -4,94 +4,11 @@ import (
 	"time"
 
 	"critics/internal/cpu"
-	"critics/internal/dfg"
+	"critics/internal/prog"
 	"critics/internal/sched"
 	"critics/internal/trace"
 	"critics/internal/workload"
 )
-
-// MeasureBatch measures several machine configurations of one (app, variant)
-// in a single batched build: the configurations share a trace key (same
-// generated program, seed and window), so their measurements differ only in
-// the simulated machine — exactly the shape of the fig10/fig11/fig12/fig13
-// design-space sweeps. Cache misses are simulated together on a cpu.BatchSim
-// (one trace-generation + fanout pass feeding N lockstep lanes) and each
-// lane's Measurement is then published to the memo cache under the same
-// per-variant key MeasureVariant uses — so results are bit-identical to K
-// independent MeasureVariant calls, later single-variant lookups hit the same
-// entries, and distributed workers never see a new request shape.
-//
-// Batching is a build-strategy choice only. Cached configurations are served
-// from the memo (Memo.Peek) without joining the batch; a single remaining
-// miss, or a context with a Remote attached (fleet execution is already
-// per-variant), degenerates to MeasureVariant. Under a cancelled run context
-// results may be nil, as with MeasureVariant.
-func (c *Context) MeasureBatch(a workload.App, kind string, cfgs []cpu.Config, collect bool) []*Measurement {
-	out := make([]*Measurement, len(cfgs))
-	if len(cfgs) == 0 {
-		return out
-	}
-
-	// Resolve each configuration's memo key (telemetry stripped, exactly as
-	// MeasureVariant), peel off cache hits and in-batch duplicates, and
-	// collect the misses that are worth building together.
-	keys := make([]sched.Key, len(cfgs))
-	first := make(map[sched.Key]int, len(cfgs))
-	dupOf := make([]int, len(cfgs))
-	var miss []int
-	for i, cfg := range cfgs {
-		kcfg := cfg
-		kcfg.Metrics = nil
-		keys[i] = sched.KeyOf("meas", a.Params, kind, kcfg, collect,
-			c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout)
-		if j, ok := first[keys[i]]; ok {
-			dupOf[i] = j
-			continue
-		}
-		first[keys[i]] = i
-		dupOf[i] = i
-		if m, ok := c.caches.meas.Peek(keys[i]); ok {
-			out[i] = m
-		} else {
-			miss = append(miss, i)
-		}
-	}
-
-	switch {
-	case len(miss) == 0:
-		// Fully cached.
-	case len(miss) == 1 || c.remote != nil || c.serialSweeps:
-		// Nothing to batch, the fleet executes per-variant units, or the
-		// serial reference schedule is forced: the established
-		// single-variant path (memoized, remote-capable).
-		for _, i := range miss {
-			out[i] = c.MeasureVariant(a, kind, cfgs[i], collect)
-		}
-	default:
-		missCfgs := make([]cpu.Config, len(miss))
-		for bi, i := range miss {
-			missCfgs[bi] = cfgs[i]
-		}
-		ms := c.measureBatch(a, kind, missCfgs, collect)
-		for bi, i := range miss {
-			m := ms[bi]
-			// Publish under the per-variant key. If another goroutine built
-			// the same key since the peek, the single-flight entry wins and
-			// we share it — bit-identical either way. Under a cancelled run
-			// context the validity check discards the value and nil comes
-			// back, matching MeasureVariant.
-			out[i] = memoGet(c, c.caches.meas, "measure "+a.Params.Name+"/"+kind, keys[i],
-				func() *Measurement { return m }, measurementCost)
-		}
-	}
-
-	for i := range out {
-		if out[i] == nil && dupOf[i] != i {
-			out[i] = out[dupOf[i]]
-		}
-	}
-	return out
-}
 
 // MeasureUnit names one measurement of a design-space sweep: a compiled
 // variant kind and a machine configuration.
@@ -100,98 +17,138 @@ type MeasureUnit struct {
 	Cfg  cpu.Config
 }
 
-// MeasureSweep measures a set of units for one app, batching the units that
-// share a trace key: the generated trace depends on the compiled program
-// (kind), not the machine, so all configurations of one kind ride a single
-// MeasureBatch build. Groups follow first-appearance order and results are
-// positional, so callers index them exactly as they listed the units. Sweeps
-// whose units are all distinct kinds (one machine each) degenerate to the
-// plain memoized path — batching only ever changes build strategy, never
-// results.
+// MeasureSweep measures a set of units for one app through the memo cache.
+// Cache misses that share a trace key — the generated trace depends on the
+// compiled program (kind), never the machine — are simulated together as the
+// lanes of one measureLanes build: the fig10–fig13 design-space shape pays
+// one trace-generation + fanout pass per kind. Each lane is published under
+// the per-variant key MeasureVariant uses, so results are bit-identical to
+// independent MeasureVariant calls, later lookups hit the same entries, and
+// distributed workers never see a new request shape. Results are positional.
+//
+// Batching is a build-strategy choice only. Cached units are served by
+// Memo.Peek, duplicate units share one measurement, and a kind with a single
+// miss, a context with a Remote attached (fleet execution is per-variant) or
+// the forced serial reference schedule goes through MeasureVariant. Under a
+// cancelled run context results may be nil, as with MeasureVariant.
 func (c *Context) MeasureSweep(a workload.App, units []MeasureUnit, collect bool) []*Measurement {
 	out := make([]*Measurement, len(units))
-	byKind := make(map[string][]int, len(units))
+	keys := make([]sched.Key, len(units))
+	first := make(map[sched.Key]int, len(units))
+	missByKind := make(map[string][]int)
 	var kinds []string
 	for i, u := range units {
-		if _, ok := byKind[u.Kind]; !ok {
+		keys[i] = c.measKey(a, u.Kind, u.Cfg, collect)
+		if _, dup := first[keys[i]]; dup {
+			continue
+		}
+		first[keys[i]] = i
+		if m, ok := c.caches.meas.Peek(keys[i]); ok {
+			out[i] = m
+			continue
+		}
+		if _, ok := missByKind[u.Kind]; !ok {
 			kinds = append(kinds, u.Kind)
 		}
-		byKind[u.Kind] = append(byKind[u.Kind], i)
+		missByKind[u.Kind] = append(missByKind[u.Kind], i)
 	}
+
 	for _, kind := range kinds {
-		idx := byKind[kind]
-		cfgs := make([]cpu.Config, len(idx))
-		for bi, i := range idx {
+		miss := missByKind[kind]
+		if len(miss) == 1 || c.remote != nil || c.serialSweeps {
+			for _, i := range miss {
+				out[i] = c.MeasureVariant(a, kind, units[i].Cfg, collect)
+			}
+			continue
+		}
+		cfgs := make([]cpu.Config, len(miss))
+		for bi, i := range miss {
 			cfgs[bi] = units[i].Cfg
 		}
-		ms := c.MeasureBatch(a, kind, cfgs, collect)
-		for bi, i := range idx {
-			out[i] = ms[bi]
+		if c.tel != nil {
+			c.tel.BatchedMeasurements.Add(int64(len(cfgs)))
+			c.tel.BatchLanes.Observe(float64(len(cfgs)))
+		}
+		p, _ := c.Variant(a, kind)
+		ms := c.measureLanes(p, cfgs, collect)
+		for bi, i := range miss {
+			m := ms[bi]
+			// Publish under the per-variant key: a build of the same key
+			// that won since the peek is shared (bit-identical either way),
+			// and a cancelled run context gets nil, as from MeasureVariant.
+			out[i] = memoGet(c, c.caches.meas, "measure "+a.Params.Name+"/"+kind, keys[i],
+				func() *Measurement { return m }, measurementCost)
+		}
+	}
+
+	for i := range out {
+		if j := first[keys[i]]; j != i {
+			out[i] = out[j]
 		}
 	}
 	return out
 }
 
-// measureBatch is the uncached batched build: one generated trace feeds every
-// configuration as a lockstep BatchSim lane. It mirrors Measure exactly —
-// same warm-up skip, warm window, measured window and per-lane WindowAgg
-// observer — so lane i's Measurement is bit-identical to Measure(p, cfgs[i]).
-func (c *Context) measureBatch(a workload.App, kind string, cfgs []cpu.Config, collect bool) []*Measurement {
-	p, _ := c.Variant(a, kind)
-	if c.tel != nil {
-		for i := range cfgs {
+// measureLanes is the one measurement build: p simulated under every
+// configuration over the context's window, as the lanes of one cpu.BatchSim.
+// One generator skips the warm-up; the warm window, then the measured window,
+// stream through the batch in chunks while each lane folds its measured
+// retirements into its WindowAgg. A one-lane batch is exactly a lone cpu.Sim,
+// so lane i equals Measure(p, cfgs[i], collect). collect=true keeps the
+// measured window as it streams past (shared read-only by every lane) and
+// each lane's stage records. cfgs is set up in place: callers hand it over.
+func (c *Context) measureLanes(p *prog.Program, cfgs []cpu.Config, collect bool) []*Measurement {
+	for i := range cfgs {
+		cfgs[i].CollectRecords = collect
+		if c.tel != nil {
 			cfgs[i].Metrics = c.tel.Sim
 		}
-		c.tel.BatchedMeasurements.Add(int64(len(cfgs)))
-		c.tel.BatchLanes.Observe(float64(len(cfgs)))
+	}
+	if c.tel != nil {
 		defer func(start time.Time) {
 			c.tel.MeasureSeconds.Observe(time.Since(start).Seconds())
 		}(time.Now())
-	}
-	for i := range cfgs {
-		cfgs[i].CollectRecords = collect
 	}
 
 	g := trace.NewGenerator(p, c.Seed)
 	g.SkipArch(c.WarmupArch)
 	b := cpu.NewBatch(cfgs)
-	ms := make([]*Measurement, len(cfgs))
-	for i := range ms {
-		ms[i] = &Measurement{}
-	}
-
-	if collect {
-		warm := g.GenerateArch(nil, c.WarmArch)
-		dyns := g.GenerateArch(nil, c.MeasureArch)
-		warmFan := dfg.Fanouts(warm, 128)
-		fan := dfg.Fanouts(dyns, 128)
-		b.Run(warm, warmFan)
-		for i := range ms {
-			b.Lane(i).OnCommit(ms[i].aggObserver(c.HighFanout))
-		}
-		res := b.Run(dyns, fan)
-		for i := range ms {
-			ms[i].Res = res[i]
-			// The window is shared read-only across the batch's
-			// measurements, like every cached Measurement already is.
-			ms[i].Dyns, ms[i].Fanouts = dyns, fan
-		}
-		return ms
-	}
-
 	bufs := measureBufs.Get().(*measureBuffers)
 	defer measureBufs.Put(bufs)
 	bufs.src.Reset(g, c.WarmArch, trace.DefaultChunk)
 	bufs.fs.Reset(&bufs.src, 128)
 	b.RunStream(&bufs.fs)
+
+	ms := make([]*Measurement, len(cfgs))
 	for i := range ms {
+		ms[i] = &Measurement{}
 		b.Lane(i).OnCommit(ms[i].aggObserver(c.HighFanout))
 	}
 	bufs.src.Reset(g, c.MeasureArch, trace.DefaultChunk)
 	bufs.fs.Reset(&bufs.src, 128)
-	res := b.RunStream(&bufs.fs)
-	for i := range ms {
-		ms[i].Res = res[i]
+	kept := keepStream{Stream: &bufs.fs}
+	var st cpu.Stream = &bufs.fs
+	if collect {
+		st = &kept
+	}
+	for i, res := range b.RunStream(st) {
+		ms[i].Res = res
+		ms[i].Dyns, ms[i].Fanouts = kept.dyns, kept.fan
 	}
 	return ms
+}
+
+// keepStream passes a stream through unchanged while appending every chunk
+// it hands out — how a collect=true measurement keeps its measured window.
+type keepStream struct {
+	cpu.Stream
+	dyns []trace.Dyn
+	fan  []int32
+}
+
+func (k *keepStream) Next() ([]trace.Dyn, []int32) {
+	d, f := k.Stream.Next()
+	k.dyns = append(k.dyns, d...)
+	k.fan = append(k.fan, f...)
+	return d, f
 }

@@ -99,13 +99,14 @@ func TestCatalogBatchedEquivalence(t *testing.T) {
 	}
 }
 
-// catalogBatchGroups are the batch shapes the rewired runners actually issue:
-// the fig11 hardware sweep (7 machine configs per variant), the ablate-fetch
-// width sweep, and the ablate-cdp bubble pair.
+// catalogBatchGroups are the sweep shapes the runners actually issue: the
+// fig11 hardware sweep (7 machine configs per variant), the ablate-fetch
+// width sweep, the ablate-cdp bubble pair, and an interleaved-kind grid (every
+// kind at every fetch width, kinds alternating) — the shape of perfbench's
+// sweep grid, which MeasureSweep regroups into one batch per kind.
 func catalogBatchGroups() []struct {
-	name string
-	kind string
-	cfgs []cpu.Config
+	name  string
+	units []MeasureUnit
 } {
 	hw := []cpu.Config{cpu.DefaultConfig()}
 	for _, mech := range HWMechs {
@@ -121,23 +122,36 @@ func catalogBatchGroups() []struct {
 	free.CDPExtraDecodeCycle = false
 	paid := cpu.DefaultConfig()
 	paid.CDPExtraDecodeCycle = true
+	one := func(kind string, cfgs ...cpu.Config) []MeasureUnit {
+		us := make([]MeasureUnit, len(cfgs))
+		for i, cfg := range cfgs {
+			us[i] = MeasureUnit{kind, cfg}
+		}
+		return us
+	}
+	var grid []MeasureUnit
+	for _, cfg := range widths {
+		for _, kind := range []string{VarBase, VarCritIC, VarOPP16, VarHoist} {
+			grid = append(grid, MeasureUnit{kind, cfg})
+		}
+	}
 	return []struct {
-		name string
-		kind string
-		cfgs []cpu.Config
+		name  string
+		units []MeasureUnit
 	}{
-		{"fig11-base", VarBase, hw},
-		{"fig11-critic", VarCritIC, hw},
-		{"ablate-fetch", VarOPP16, widths},
-		{"ablate-cdp", VarCritIC, []cpu.Config{free, paid}},
+		{"fig11-base", one(VarBase, hw...)},
+		{"fig11-critic", one(VarCritIC, hw...)},
+		{"ablate-fetch", one(VarOPP16, widths...)},
+		{"ablate-cdp", one(VarCritIC, free, paid)},
+		{"interleaved-grid", grid},
 	}
 }
 
-// TestMeasureBatchGoldenEncode compares, for the catalog's batch group shapes
+// TestMeasureSweepGoldenEncode compares, for the catalog's batch group shapes
 // and both collect modes, each batched Measurement against an independent
 // uncached Measure call — on the JSON wire encoding, byte for byte, which
-// covers Res, the WindowAgg fold, and (collect=true) the materialized window.
-func TestMeasureBatchGoldenEncode(t *testing.T) {
+// covers Res, the WindowAgg fold, and (collect=true) the kept window.
+func TestMeasureSweepGoldenEncode(t *testing.T) {
 	a, ok := workload.FindApp("acrobat")
 	if !ok {
 		t.Fatal("catalog app missing")
@@ -145,14 +159,19 @@ func TestMeasureBatchGoldenEncode(t *testing.T) {
 	for _, g := range catalogBatchGroups() {
 		for _, collect := range []bool{false, true} {
 			// Fresh bundles per run so every lane is a true cache miss and
-			// the batched build is forced (K >= 2 misses).
+			// the batched build is forced (K >= 2 misses per kind).
 			cb := batchEquivCtx(false)
-			ms := cb.MeasureBatch(a, g.kind, g.cfgs, collect)
+			cb.SetTelemetry(telemetry.NewRegistry())
+			ms := cb.MeasureSweep(a, g.units, collect)
+			if n, want := cb.tel.BatchedMeasurements.Value(), int64(len(g.units)); n != want {
+				t.Fatalf("%s collect=%v: %d batched measurements, want %d (every lane batched)",
+					g.name, collect, n, want)
+			}
 
 			cs := batchEquivCtx(true)
-			p, _ := cs.Variant(a, g.kind)
-			for i, cfg := range g.cfgs {
-				want := cs.Measure(p, cfg, collect)
+			for i, u := range g.units {
+				p, _ := cs.Variant(a, u.Kind)
+				want := cs.Measure(p, u.Cfg, collect)
 				gj, err := json.Marshal(ms[i])
 				if err != nil {
 					t.Fatalf("%s lane %d: encode batched: %v", g.name, i, err)
@@ -166,43 +185,44 @@ func TestMeasureBatchGoldenEncode(t *testing.T) {
 						g.name, collect, i)
 				}
 			}
-			if cb.tel != nil {
-				t.Fatal("unexpected telemetry on equivalence context")
-			}
 		}
 	}
 }
 
-// TestMeasureBatchCacheInterop checks the memo interplay: batched builds
+// TestMeasureSweepCacheInterop checks the memo interplay: batched builds
 // publish per-variant entries that later single-variant lookups hit, and
 // pre-cached variants are served without joining a batch.
-func TestMeasureBatchCacheInterop(t *testing.T) {
+func TestMeasureSweepCacheInterop(t *testing.T) {
 	a, ok := workload.FindApp("acrobat")
 	if !ok {
 		t.Fatal("catalog app missing")
 	}
 	c := batchEquivCtx(false)
 	cfgs := []cpu.Config{cpu.DefaultConfig(), ApplyHW(HW2xFD), ApplyHW(HWPerfectBr)}
+	units := make([]MeasureUnit, len(cfgs))
+	for i, cfg := range cfgs {
+		units[i] = MeasureUnit{VarBase, cfg}
+	}
 
 	// Warm one variant through the single-variant path first.
 	single := c.MeasureVariant(a, VarBase, cfgs[1], false)
 
-	ms := c.MeasureBatch(a, VarBase, cfgs, false)
+	ms := c.MeasureSweep(a, units, false)
 	if ms[1] != single {
-		t.Error("batch did not serve the pre-cached variant from the memo")
+		t.Error("sweep did not serve the pre-cached variant from the memo")
 	}
 
-	// Every lane the batch built must now hit as a single-variant lookup —
+	// Every lane the sweep built must now hit as a single-variant lookup —
 	// same pointer, no rebuild.
 	for i, cfg := range cfgs {
 		if m := c.MeasureVariant(a, VarBase, cfg, false); m != ms[i] {
-			t.Errorf("lane %d: single-variant lookup missed the batch-published entry", i)
+			t.Errorf("lane %d: single-variant lookup missed the sweep-published entry", i)
 		}
 	}
 
-	// In-batch duplicates resolve to one shared measurement.
-	dup := c.MeasureBatch(a, VarBase, []cpu.Config{cfgs[0], cfgs[0]}, false)
+	// In-sweep duplicates resolve to one shared measurement.
+	dup := c.MeasureSweep(a, []MeasureUnit{units[0], units[0]}, false)
 	if dup[0] != dup[1] {
-		t.Error("duplicate configs in one batch produced distinct measurements")
+		t.Error("duplicate units in one sweep produced distinct measurements")
 	}
 }

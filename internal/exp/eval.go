@@ -116,8 +116,8 @@ func RunFig10(c *Context) *Fig10Result {
 		row.CritICPct = Speedup(base, mCrit)
 		row.IdealPct = Speedup(base, mIdeal)
 
-		_, allB, _ := c.critBreakdown(base)
-		_, allC, _ := c.critBreakdown(mCrit)
+		allB := base.Agg.AllBkd
+		allC := mCrit.Agg.AllBkd
 		if t := allB.Total(); t > 0 {
 			row.BaseFetchFrac = float64(allB.FetchI+allB.FetchRD) / float64(t)
 		}

@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 	"unsafe"
 
 	"critics/internal/compiler"
@@ -73,7 +72,7 @@ type Context struct {
 	mapper sched.Mapper
 	remote Remote
 
-	// serialSweeps forces MeasureBatch to build its misses through the
+	// serialSweeps forces MeasureSweep to build its misses through the
 	// per-variant MeasureVariant path — the serial reference schedule the
 	// batched-equivalence tests compare the lockstep builds against.
 	serialSweeps bool
@@ -439,8 +438,8 @@ type WindowAgg struct {
 // Measurement is one simulated window plus the artifacts the figure runners
 // consume. Agg is always populated; Dyns, Fanouts and Res.Records are only
 // retained when the measurement was taken with collect=true (trace export
-// and other per-instruction consumers) — the streaming measure path never
-// materializes them.
+// and other per-instruction consumers), which keeps the measured window as
+// it streams past.
 type Measurement struct {
 	Res     cpu.Result
 	Agg     WindowAgg
@@ -502,51 +501,14 @@ type measureBuffers struct {
 var measureBufs = sync.Pool{New: func() any { return new(measureBuffers) }}
 
 // Measure simulates one program under cfg over the context's measurement
-// window (with warm-up), optionally collecting per-instruction records.
-// This is the uncached primitive; experiment runners go through
-// MeasureVariant, which memoizes the result.
-//
-// With collect=false the whole generate → fanout → simulate path streams in
-// chunks: peak memory is O(chunk + fanout window) regardless of MeasureArch,
-// and the returned Measurement retains only Res and Agg. collect=true
-// materializes the window (Dyns, Fanouts, Res.Records) for per-instruction
-// consumers. Both paths produce bit-identical Res and Agg.
+// window (with warm-up), optionally collecting per-instruction records. It is
+// the uncached primitive, a one-lane measureLanes build; experiment runners
+// go through MeasureVariant or MeasureSweep, which memoize the result. Both
+// modes stream in chunks: collect=false retains only Res and Agg, in
+// O(chunk + fanout window) memory regardless of MeasureArch; collect=true
+// also keeps Dyns, Fanouts and Res.Records. Res and Agg do not depend on it.
 func (c *Context) Measure(p *prog.Program, cfg cpu.Config, collect bool) *Measurement {
-	if c.tel != nil {
-		cfg.Metrics = c.tel.Sim
-		defer func(start time.Time) {
-			c.tel.MeasureSeconds.Observe(time.Since(start).Seconds())
-		}(time.Now())
-	}
-	g := trace.NewGenerator(p, c.Seed)
-	g.SkipArch(c.WarmupArch)
-
-	cfg.CollectRecords = collect
-	s := cpu.New(cfg)
-	m := &Measurement{}
-
-	if collect {
-		warm := g.GenerateArch(nil, c.WarmArch)
-		dyns := g.GenerateArch(nil, c.MeasureArch)
-		warmFan := dfg.Fanouts(warm, 128)
-		fan := dfg.Fanouts(dyns, 128)
-		s.Run(warm, warmFan)
-		s.OnCommit(m.aggObserver(c.HighFanout))
-		m.Res = s.Run(dyns, fan)
-		m.Dyns, m.Fanouts = dyns, fan
-		return m
-	}
-
-	b := measureBufs.Get().(*measureBuffers)
-	defer measureBufs.Put(b)
-	b.src.Reset(g, c.WarmArch, trace.DefaultChunk)
-	b.fs.Reset(&b.src, 128)
-	s.RunStream(&b.fs)
-	s.OnCommit(m.aggObserver(c.HighFanout))
-	b.src.Reset(g, c.MeasureArch, trace.DefaultChunk)
-	b.fs.Reset(&b.src, 128)
-	m.Res = s.RunStream(&b.fs)
-	return m
+	return c.measureLanes(p, []cpu.Config{cfg}, collect)[0]
 }
 
 // windowSource returns a chunked Source over the context's measure window of
@@ -570,13 +532,7 @@ func (c *Context) windowSource(a workload.App, kind string, chunk int) *trace.Ge
 // window/profiling scale. The returned Measurement is shared — callers must
 // treat it as read-only.
 func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, collect bool) *Measurement {
-	// Telemetry sinks never participate in cache identity: the key covers
-	// the simulated configuration only, and Measure re-attaches the
-	// context's sink after the lookup.
-	kcfg := cfg
-	kcfg.Metrics = nil
-	key := sched.KeyOf("meas", a.Params, kind, kcfg, collect,
-		c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout)
+	key := c.measKey(a, kind, cfg, collect)
 	label := "measure " + a.Params.Name + "/" + kind
 	return memoGet(c, c.caches.meas, label, key, func() *Measurement {
 		remoteFailed := false
@@ -590,6 +546,8 @@ func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, co
 			if t, _, ok := obs.FromContext(ctx); ok {
 				ctx = obs.ContextWith(ctx, t, obs.BuildSpanID(label, keyHex8(key)))
 			}
+			kcfg := cfg
+			kcfg.Metrics = nil // the wire form carries no telemetry sink
 			m, err := c.remote.MeasureRemote(ctx, MeasureRequest{
 				App: a.Params, Kind: kind, Config: kcfg, Collect: collect,
 				Seed: c.Seed, WarmupArch: c.WarmupArch, WarmArch: c.WarmArch,
@@ -626,6 +584,15 @@ func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, co
 	}, measurementCost)
 }
 
+// measKey is the memo key of one measurement. Telemetry sinks never
+// participate in cache identity: the key covers the simulated configuration
+// only, and the lane build re-attaches the context's sink.
+func (c *Context) measKey(a workload.App, kind string, cfg cpu.Config, collect bool) sched.Key {
+	cfg.Metrics = nil
+	return sched.KeyOf("meas", a.Params, kind, cfg, collect,
+		c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout)
+}
+
 // MeasureRequest is the serializable description of one MeasureVariant call
 // — the remote unit of work for distributed execution (internal/dist). It
 // carries every input the measurement's memo key covers (generator
@@ -658,12 +625,10 @@ type Remote interface {
 }
 
 // ExecuteMeasure runs one measurement request against the given cache bundle
-// — the worker side of distributed execution. workers is the request
-// context's worker bound (Context.Workers); 0 selects GOMAXPROCS.
-// caches == nil builds against a private throwaway bundle. A ctx cancelled
+// — the worker side of distributed execution. caches == nil builds against a private throwaway bundle. A ctx cancelled
 // mid-build aborts the request, and (per the memo validity contract) the
 // partial artifacts are not retained.
-func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches, workers int) (m *Measurement, err error) {
+func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches) (m *Measurement, err error) {
 	if caches == nil {
 		caches = NewCaches()
 	}
@@ -680,7 +645,6 @@ func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches, wor
 		MeasureArch: req.MeasureArch,
 		ProfilePlan: req.ProfilePlan,
 		HighFanout:  req.HighFanout,
-		Workers:     workers,
 		caches:      caches,
 	}
 	if ctx != nil {
@@ -793,12 +757,4 @@ func (c *Context) ForEach(n int, f func(i int)) {
 		p.WithContext(c.runCtx)
 	}
 	p.Map(n, f)
-}
-
-// critBreakdown returns the per-stage residency of the high-fanout
-// (individually critical) instructions of a measurement, and of its whole
-// window — folded online while the window retired (WindowAgg), so it is
-// available in both collect modes.
-func (c *Context) critBreakdown(m *Measurement) (crit cpu.Breakdown, all cpu.Breakdown, critCount int) {
-	return m.Agg.CritBkd, m.Agg.AllBkd, int(m.Agg.CritDyns)
 }

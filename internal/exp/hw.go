@@ -87,19 +87,21 @@ func RunFig11(c *Context) *Fig11Result {
 		a := apps[i]
 
 		// All seven machine configurations of a variant share its trace, so
-		// each variant is one batched build (a 7-lane BatchSim on a cache-cold
-		// context) instead of seven trace passes.
-		cfgs := make([]cpu.Config, 1+nm)
-		cfgs[0] = cpu.DefaultConfig()
-		for mi, mech := range HWMechs {
-			cfgs[1+mi] = ApplyHW(mech)
+		// the sweep builds each variant as one batch (a 7-lane BatchSim on a
+		// cache-cold context) instead of seven trace passes.
+		units := make([]MeasureUnit, 0, 2*(1+nm))
+		for _, kind := range []string{VarBase, VarCritIC} {
+			units = append(units, MeasureUnit{kind, cpu.DefaultConfig()})
+			for _, mech := range HWMechs {
+				units = append(units, MeasureUnit{kind, ApplyHW(mech)})
+			}
 		}
-		baseMs := c.MeasureBatch(a, VarBase, cfgs, false)
-		critMs := c.MeasureBatch(a, VarCritIC, cfgs, false)
+		ms := c.MeasureSweep(a, units, false)
+		baseMs, critMs := ms[:1+nm], ms[1+nm:]
 
 		base := baseMs[0]
 		outs[i].critic = Speedup(base, critMs[0])
-		_, allB, _ := c.critBreakdown(base)
+		allB := base.Agg.AllBkd
 		if t := allB.Total(); t > 0 {
 			outs[i].baseFI = float64(allB.FetchI) / float64(t)
 			outs[i].baseRD = float64(allB.FetchRD) / float64(t)
@@ -108,7 +110,7 @@ func RunFig11(c *Context) *Fig11Result {
 		for mi := range HWMechs {
 			mAlone := baseMs[1+mi]
 			outs[i].alone[mi] = Speedup(base, mAlone)
-			_, all, _ := c.critBreakdown(mAlone)
+			all := mAlone.Agg.AllBkd
 			if t := all.Total(); t > 0 {
 				outs[i].fi[mi] = float64(all.FetchI) / float64(t)
 				outs[i].rd[mi] = float64(all.FetchRD) / float64(t)

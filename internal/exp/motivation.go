@@ -192,7 +192,7 @@ func RunFig3(c *Context) *Fig3Result {
 		c.ForEach(len(apps), func(i int) {
 			a := apps[i]
 			m := c.MeasureVariant(a, VarBase, cpu.DefaultConfig(), false)
-			crit, _, n := c.critBreakdown(m)
+			crit := m.Agg.CritBkd
 			var row Fig3Row
 			tot := float64(crit.Total())
 			if tot > 0 {
@@ -208,7 +208,7 @@ func RunFig3(c *Context) *Fig3Result {
 			// their memory time), which is what Fig. 3c contrasts —
 			// folded during the streaming pass (WindowAgg).
 			l1, l23, l4 := m.Agg.CritLat1, m.Agg.CritLat2to3, m.Agg.CritLat4Plus
-			if n > 0 && l1+l23+l4 > 0 {
+			if m.Agg.CritDyns > 0 && l1+l23+l4 > 0 {
 				tot := float64(l1 + l23 + l4)
 				row.Lat1 = float64(l1) / tot
 				row.Lat2to3 = float64(l23) / tot

@@ -46,14 +46,14 @@ func RunFig12a(c *Context) *Fig12aResult {
 		}
 		ms := c.MeasureSweep(a, units, false)
 		base := ms[0]
-		_, allB, _ := c.critBreakdown(base)
+		allB := base.Agg.AllBkd
 		baseFrac := 0.0
 		if t := allB.Total(); t > 0 {
 			baseFrac = float64(allB.FetchI+allB.FetchRD) / float64(t)
 		}
 		for li := range lengths {
 			m := ms[1+li]
-			_, all, _ := c.critBreakdown(m)
+			all := m.Agg.AllBkd
 			var fetchSaved float64
 			if t := all.Total(); t > 0 && baseFrac > 0 {
 				frac := float64(all.FetchI+all.FetchRD) / float64(t)

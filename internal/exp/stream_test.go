@@ -2,6 +2,7 @@ package exp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"critics/internal/core"
@@ -17,7 +18,7 @@ import (
 // up front, compute fanouts over the full slices, simulate, and rebuild the
 // window aggregates from the record slice afterwards (independently of the
 // OnCommit fold the production path uses).
-func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, WindowAgg) {
+func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, WindowAgg, []trace.Dyn, []int32) {
 	g := trace.NewGenerator(p, c.Seed)
 	g.SkipArch(c.WarmupArch)
 	warm := g.GenerateArch(nil, c.WarmArch)
@@ -57,12 +58,13 @@ func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, Window
 			}
 		}
 	}
-	return res, agg
+	return res, agg, dyns, fan
 }
 
 // TestMeasureStreamingEquivalence checks, for every app in the catalog and
 // both collect modes, that Measure produces exactly the Result and window
-// aggregates of the materialize-everything reference path.
+// aggregates of the materialize-everything reference path, and that
+// collect=true keeps exactly the reference's materialized window.
 func TestMeasureStreamingEquivalence(t *testing.T) {
 	c := QuickContext()
 	c.WarmupArch = 2_000
@@ -71,7 +73,7 @@ func TestMeasureStreamingEquivalence(t *testing.T) {
 	for suite, apps := range Suites() {
 		for _, a := range apps {
 			p := c.Program(a)
-			wantRes, wantAgg := refMeasure(c, p, cpu.DefaultConfig())
+			wantRes, wantAgg, wantDyns, wantFan := refMeasure(c, p, cpu.DefaultConfig())
 			for _, collect := range []bool{false, true} {
 				m := c.Measure(p, cpu.DefaultConfig(), collect)
 				got, want := m.Res, wantRes
@@ -90,8 +92,12 @@ func TestMeasureStreamingEquivalence(t *testing.T) {
 						suite, a.Params.Name, collect, m.Agg, wantAgg)
 				}
 				if collect {
-					if m.Dyns == nil || m.Fanouts == nil || m.Res.Records == nil {
-						t.Errorf("%s/%s: collect=true lost its materialized window", suite, a.Params.Name)
+					if m.Res.Records == nil {
+						t.Errorf("%s/%s: collect=true lost its stage records", suite, a.Params.Name)
+					}
+					if !slices.Equal(m.Dyns, wantDyns) || !slices.Equal(m.Fanouts, wantFan) {
+						t.Errorf("%s/%s: collect=true window differs from the materialized one (%d/%d dyns, %d/%d fanouts)",
+							suite, a.Params.Name, len(m.Dyns), len(wantDyns), len(m.Fanouts), len(wantFan))
 					}
 				} else if m.Dyns != nil || m.Fanouts != nil || m.Res.Records != nil {
 					t.Errorf("%s/%s: collect=false retained window slices", suite, a.Params.Name)

@@ -135,7 +135,7 @@ type ConvergeOptions struct {
 
 // Converge runs the iterative optimizer for one app against a consensus
 // snapshot: each generation measures the surviving candidates through the
-// memoized sweep path (exp.MeasureSweep → MeasureBatch), scores measured
+// memoized, batched sweep path (exp.MeasureSweep), scores measured
 // speedup against fleet-observed coverage, halves the pool around the
 // winner, and stops when the winner repeats (or the pool is down to one).
 //

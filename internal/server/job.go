@@ -104,30 +104,47 @@ func (j *job) requestCancel() {
 	}
 }
 
-// finish records a terminal state from the worker. A job whose cancellation
-// was requested lands in canceled regardless of how execution returned.
-func (j *job) finish(result []byte, errMsg string, retryable bool) {
+// terminal is a started job's terminal state: decided by settle, made
+// visible to pollers by publish.
+type terminal struct {
+	state    JobState
+	errMsg   string
+	retry    bool
+	result   []byte // marshaled Result, set on success
+	finished time.Time
+}
+
+// settle decides a started job's terminal state without publishing it, so
+// the worker records the outcome before any poller sees it. A job whose
+// cancellation was requested lands in canceled regardless of how execution
+// returned; a cancel arriving after settle finds the outcome decided.
+func (j *job) settle(result []byte, errMsg string, retryable bool) terminal {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.finished = time.Now()
+	t := terminal{finished: time.Now()}
 	switch {
 	case j.requested:
-		j.state = StateCanceled
+		t.state = StateCanceled
 		if errMsg == "" {
 			errMsg = "canceled"
 		}
-		j.errMsg = errMsg
+		t.errMsg = errMsg
 	case errMsg != "":
-		j.state = StateFailed
-		j.errMsg = errMsg
-		j.retry = retryable
+		t.state = StateFailed
+		t.errMsg = errMsg
+		t.retry = retryable
 	default:
-		j.state = StateSucceeded
-		j.result = result
+		t.state = StateSucceeded
+		t.result = result
 	}
+	return t
+}
+
+// publish makes a settled terminal state visible.
+func (j *job) publish(t terminal) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state, j.errMsg, j.retry, j.result, j.finished = t.state, t.errMsg, t.retry, t.result, t.finished
 }
 
 // failQueued moves a still-queued job to failed-retryable (the shutdown

@@ -45,12 +45,13 @@ func (s *Server) dequeueJob(j *job) {
 	s.obsv.Ring.Append(j.id, obs.EvDequeued, fmt.Sprintf("waited %s", (time.Duration(wait)*time.Microsecond).Round(time.Microsecond)))
 }
 
-// finishJob records the job's terminal state on its trace: the "compute" span
-// (computeStart taken just before execute ran), the root "job" span, the
-// compute and e2e SLO stages, and the terminal flight-recorder event. A
-// failed job additionally dumps its flight-recorder events to the log, so a
-// postmortem starts with the sequence of events in hand.
-func (s *Server) finishJob(j *job, computeStart int64) {
+// finishJob records the job's settled terminal state on its trace before it
+// is published: the "compute" span (computeStart taken just before execute
+// ran), the root "job" span, the compute and e2e SLO stages, and the
+// terminal flight-recorder event. A failed job additionally dumps its
+// flight-recorder events to the log, so a postmortem starts with the
+// sequence of events in hand.
+func (s *Server) finishJob(j *job, computeStart int64, term terminal) {
 	t := j.trace
 	if t == nil {
 		return
@@ -60,8 +61,7 @@ func (s *Server) finishJob(j *job, computeStart int64) {
 		ID: "compute", Parent: "job", Name: "compute",
 		StartUS: computeStart, DurUS: now - computeStart,
 	})
-	st := j.Status()
-	attrs := []obs.Attr{obs.A("kind", string(j.req.Kind)), obs.A("state", string(st.State))}
+	attrs := []obs.Attr{obs.A("kind", string(j.req.Kind)), obs.A("state", string(term.state))}
 	if j.req.App != "" {
 		attrs = append(attrs, obs.A("app", j.req.App))
 	}
@@ -73,15 +73,15 @@ func (s *Server) finishJob(j *job, computeStart int64) {
 	s.obsv.Stages.Observe(obs.StageE2E, float64(now)/1e6, j.id)
 
 	ev := obs.EvCompleted
-	switch st.State {
+	switch term.state {
 	case StateFailed:
 		ev = obs.EvFailed
 	case StateCanceled:
 		ev = obs.EvCanceled
 	}
-	s.obsv.Ring.Append(j.id, ev, st.Error)
+	s.obsv.Ring.Append(j.id, ev, term.errMsg)
 
-	if st.State == StateFailed {
+	if term.state == StateFailed {
 		// Flight-recorder dump: the job's event sequence in one log record,
 		// so a postmortem needs no /debug/events round-trip.
 		events := s.obsv.Ring.Snapshot(j.id)

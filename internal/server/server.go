@@ -306,15 +306,18 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		// may hit warm caches and finish in time.
 		retry = errors.Is(err, context.DeadlineExceeded)
 	}
-	j.finish(result, msg, retry)
-	s.finishJob(j, computeStart)
-
-	st := j.Status()
-	outcome := string(st.State)
+	// Record the outcome — counter, spans, flight-recorder event — before
+	// publishing it: a poller that sees the terminal state sees it counted.
+	term := j.settle(result, msg, retry)
+	outcome := string(term.state)
 	if panicked {
 		outcome = "panic"
 	}
 	s.metrics.outcomes(outcome).Inc()
+	s.finishJob(j, computeStart, term)
+	j.publish(term)
+
+	st := j.Status()
 	s.log.Info("job done", "id", j.id, "state", st.State, "err", msg,
 		"seconds", st.Duration().Seconds())
 }

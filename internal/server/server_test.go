@@ -258,6 +258,37 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestSettleThenPublish pins the order runJob relies on: a settled outcome
+// stays invisible to pollers until it is published, a cancel requested
+// before settle lands the job in canceled, and one arriving between settle
+// and publish finds the outcome already decided.
+func TestSettleThenPublish(t *testing.T) {
+	j := newJob("j1", SubmitRequest{})
+	if !j.tryStart(func() {}) {
+		t.Fatal("tryStart refused a queued job")
+	}
+	term := j.settle([]byte("{}"), "", false)
+	if st := j.Status(); st.State != StateRunning || st.FinishedAt != nil {
+		t.Fatalf("settled job visible before publish: state=%s finished=%v", st.State, st.FinishedAt)
+	}
+	j.requestCancel()
+	j.publish(term)
+	if st := j.Status(); st.State != StateSucceeded || st.FinishedAt == nil {
+		t.Errorf("published job: state=%s finished=%v, want succeeded", st.State, st.FinishedAt)
+	}
+	if res, ok := j.Result(); !ok || string(res) != "{}" {
+		t.Errorf("published result = %q, %v", res, ok)
+	}
+
+	k := newJob("j2", SubmitRequest{})
+	k.tryStart(func() {})
+	k.requestCancel()
+	k.publish(k.settle(nil, "", false))
+	if st := k.Status(); st.State != StateCanceled || st.Error != "canceled" {
+		t.Errorf("cancel before settle: state=%s err=%q, want canceled", st.State, st.Error)
+	}
+}
+
 // TestJobTimeout: a job exceeding its deadline fails with a retryable
 // status.
 func TestJobTimeout(t *testing.T) {
